@@ -24,7 +24,6 @@ from .blocked import (
 from .construction import (
     BiasReport,
     BiasSeverity,
-    ConstructionScore,
     LearnabilityReport,
     auc,
     bias_severity,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import enum
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -18,6 +19,7 @@ import numpy as np
 
 from ._stats import two_proportion_ztest
 from .errors import InputError, PreconditionError
+from .ingest import csv_rows
 
 
 class Variant(enum.Enum):
@@ -186,31 +188,22 @@ def write_blocked_csv(outcomes, path: str | Path) -> None:
 
 def read_blocked_csv(path: str | Path) -> BlockedOutcomes:
     path = Path(path)
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = [h.strip() for h in next(reader)]
-            except StopIteration:
-                raise InputError(f"{path}: empty file, expected a header row") from None
-            rows = [row for row in reader if any(cell.strip() for cell in row)]
-    except OSError as exc:
-        raise InputError(f"cannot read outcomes CSV {path}: {exc}") from exc
+    rows = csv_rows(path, "outcomes CSV")
+    _, header = next(rows)
     if header != ["variant", "converted"]:
         raise InputError(f"{path}: header must be variant,converted, got {','.join(header)}")
     by_value = {v.value: i for i, v in enumerate(_VARIANTS)}
-    variants = np.empty(len(rows), dtype=np.uint8)
-    converted = np.empty(len(rows), dtype=bool)
-    for i, row in enumerate(rows):
-        row_no = i + 2
+    variants = array("B")
+    converted = array("B")
+    for row_no, row in rows:
         if len(row) != 2:
             raise InputError(f"row {row_no}: expected 2 fields, got {len(row)}")
         value = row[0].strip().lower()
         if value not in by_value:
             raise InputError(f"row {row_no}: unknown variant {row[0]!r}")
-        variants[i] = by_value[value]
+        variants.append(by_value[value])
         flag = row[1].strip()
         if flag not in ("0", "1"):
             raise InputError(f"row {row_no}: converted must be 0 or 1, got {flag!r}")
-        converted[i] = flag == "1"
-    return BlockedOutcomes(variants, converted)
+        converted.append(flag == "1")
+    return BlockedOutcomes(np.array(variants, dtype=np.uint8), np.array(converted, dtype=bool))

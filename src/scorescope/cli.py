@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import json
 import sys
-import time
 from dataclasses import asdict, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -39,16 +38,9 @@ from .construction import (
 )
 from .errors import InputError, PreconditionError
 from .experiments import disagreement, impacted_traffic_curve, required_sample_size
-from .ingest import ScoreRecord, dataset_from_arrays, parse_score_line, read_paired, read_score_log, read_tabular
-from .monitor import (
-    AlertEvent,
-    AlertKind,
-    MonitorConfig,
-    OverrideRule,
-    WindowedMonitor,
-    apply_overrides,
-    check_drift,
-)
+from .ingest import ScoreRecord, dataset_from_arrays, read_paired, read_score_log, read_tabular
+from .ingest import parse_score_line  # noqa: F401  only perfbench/test_perfbench.py reads cli.parse_score_line
+from .monitor import MonitorConfig, OverrideRule, watch
 from .rdc import DEFAULT_DIAGNOSIS, RdcPattern, build_rdc, diagnose, one_vs_rest
 
 EXIT_OK = 0
@@ -435,111 +427,22 @@ def cmd_watch(args):
         overrides,
     )
     rules = [_parse_override(rule) for rule in args.override or []]
-
-    references: dict[str, tuple] = {}  # model_id -> (rdc, diagnosis)
-    if args.reference:
-        ref_log = read_score_log(args.reference)
-        by_model: dict[str, list[float]] = {}
-        for rec in ref_log.records:
-            by_model.setdefault(rec.model_id, []).append(rec.score)
-        for model_id, scores in sorted(by_model.items()):
-            rdc = build_rdc(scores, mconf.bins)
-            references[model_id] = (rdc, diagnose(rdc, mconf.diagnosis))
-
-    monitor = WindowedMonitor(mconf)
-    alerts = []
-    windows = 0
-    partials = 0
-    overridden_total = 0
-    malformed = 0
-    line_no = 0
-
-    def handle(result) -> None:
-        nonlocal windows, partials
-        windows += 1
-        partials += result.partial
-        if result.model_id in references:
-            ref_rdc, ref_diag = references[result.model_id]
-            new_alerts = check_drift(
-                result.rdc,
-                ref_rdc,
-                mconf,
-                model_id=result.model_id,
-                window_index=result.window_index,
-                current_diagnosis=result.diagnosis,
-                reference_diagnosis=ref_diag,
-            )
-        else:
-            # first window becomes the model's reference; still surface pathology
-            references[result.model_id] = (result.rdc, result.diagnosis)
-            new_alerts = []
-            if result.diagnosis.pattern is not RdcPattern.HEALTHY_BIMODAL:
-                new_alerts = [
-                    AlertEvent(
-                        result.model_id,
-                        result.window_index,
-                        AlertKind.PATHOLOGY,
-                        {"pattern": result.diagnosis.pattern.value},
-                    )
-                ]
-        for alert in new_alerts:
-            alerts.append(alert)
-            _emit_alert(alert)
-
-    path = Path(args.input)
-    if not path.exists():
-        raise InputError(f"cannot read score log {path}: file does not exist")
-    with path.open("rb") as fh:
-        while True:
-            position = fh.tell()
-            raw = fh.readline()
-            if raw:
-                if not raw.endswith(b"\n") and not args.once:
-                    # incomplete trailing line; wait for the writer to finish it
-                    fh.seek(position)
-                    time.sleep(args.poll_interval)
-                    continue
-                line_no += 1
-                line = raw.decode("utf-8", errors="replace")
-                if not line.strip():
-                    continue
-                try:
-                    record = parse_score_line(line, line_no)
-                except InputError:
-                    raise
-                except ValueError:
-                    malformed += 1
-                    continue
-                if rules:
-                    [record], n_over = apply_overrides([record], rules)
-                    overridden_total += n_over
-                for result in monitor.feed(record):
-                    handle(result)
-            else:
-                if args.once:
-                    break
-                time.sleep(args.poll_interval)
-    for result in monitor.finish():
-        handle(result)
-
-    by_kind: dict[str, int] = {}
-    for alert in alerts:
-        by_kind[alert.kind.value] = by_kind.get(alert.kind.value, 0) + 1
-    results = {
-        "windows": windows,
-        "partial_windows": partials,
-        "alerts": by_kind,
-        "alert_count": len(alerts),
-        "dropped": monitor.dropped,
-        "overridden": overridden_total,
-        "malformed_lines": malformed,
-    }
+    summary = watch(
+        args.input,
+        mconf,
+        _emit_alert,
+        reference=args.reference,
+        rules=rules,
+        follow=not args.once,
+        poll_interval=args.poll_interval,
+    )
+    results = asdict(summary)
     decisions = {
         "window_size": mconf.window_size,
         "tv_threshold": mconf.tv_threshold,
         "diagnosis": asdict(mconf.diagnosis),
     }
-    code = EXIT_STRICT if args.strict and alerts else EXIT_OK
+    code = EXIT_STRICT if args.strict and summary.alert_count else EXIT_OK
     inputs = {"input": args.input}
     if args.reference:
         inputs["reference"] = args.reference

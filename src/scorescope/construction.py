@@ -502,11 +502,3 @@ def bias_severity(
         fold_aucs=tuple(fold_aucs),
     )
 
-
-@dataclass(frozen=True)
-class ConstructionScore:
-    """Bundle of the three problem-construction checks."""
-
-    balance: ClassBalance
-    learnability: LearnabilityReport
-    bias: BiasReport | None = None

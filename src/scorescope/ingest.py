@@ -11,9 +11,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import time
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -85,6 +87,10 @@ class _MalformedLine(ValueError):
     pass
 
 
+class _OutOfRange(_MalformedLine):
+    pass
+
+
 def _parse_optional_label(value) -> int | None:
     if value is None:
         return None
@@ -93,12 +99,12 @@ def _parse_optional_label(value) -> int | None:
     raise _MalformedLine(f"label must be 0 or 1, got {value!r}")
 
 
-def parse_score_line(line: str, line_no: int, *, allow_out_of_range: bool = False) -> ScoreRecord:
+def parse_score_line(line: str, *, allow_out_of_range: bool = False) -> ScoreRecord:
     """Parse one score-log line.
 
-    Raises InputError when the score is a number outside [0, 1] and
-    ``allow_out_of_range`` is off (rescaling is the remedy, not skipping),
-    and _MalformedLine for anything else wrong with the line.
+    Raises _OutOfRange when the score is a number outside [0, 1] and
+    ``allow_out_of_range`` is off, and _MalformedLine for anything else
+    wrong with the line.
     """
     try:
         obj = json.loads(line)
@@ -117,7 +123,7 @@ def parse_score_line(line: str, line_no: int, *, allow_out_of_range: bool = Fals
         raise _MalformedLine("score must be a finite number")
     score = float(score)
     if not allow_out_of_range and not 0.0 <= score <= 1.0:
-        raise InputError(f"line {line_no}: score {score} outside [0, 1] (use rescale to min-max rescale the file)")
+        raise _OutOfRange(f"score {score} outside [0, 1]")
     entity_id = obj.get("entity_id")
     if entity_id is not None and not isinstance(entity_id, str):
         raise _MalformedLine("entity_id must be a string")
@@ -128,33 +134,77 @@ def parse_score_line(line: str, line_no: int, *, allow_out_of_range: bool = Fals
     return ScoreRecord(model_id, ts, score, entity_id, class_label, label)
 
 
-def read_score_log(path: str | Path, *, rescale: bool = False) -> ScoreLog:
-    """Read a line-delimited score log.
+def read_log_lines(path: str | Path, *, follow: bool = False, poll_interval: float = 1.0) -> Iterator[bytes]:
+    """Yield the raw lines of a score log, each split at ``\\n``.
 
-    Malformed lines are skipped and counted. A single bad line is always
-    tolerated (a writer may have been interrupted mid-record); beyond that,
-    more than ``MALFORMED_LINE_LIMIT`` of the lines being malformed aborts
-    the read. Scores outside [0, 1] are an error unless ``rescale`` is set,
-    in which case the whole file is min-max rescaled onto [0, 1] after
-    parsing.
+    Without ``follow`` the file is read once to its end. With ``follow`` the
+    reader never ends: it holds back an incomplete trailing line until the
+    writer finishes it with a newline, and at end of file it sleeps
+    ``poll_interval`` seconds before looking again.
     """
-    path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, "rb") as fh:
+            if not follow:
+                yield from fh
+                return
+            pending = b""
+            while True:
+                raw = fh.readline()
+                if raw.endswith(b"\n"):
+                    yield pending + raw
+                    pending = b""
+                else:
+                    pending += raw
+                    time.sleep(poll_interval)
     except OSError as exc:
         raise InputError(f"cannot read score log {path}: {exc}") from exc
 
-    records: list[ScoreRecord] = []
-    skipped: list[tuple[int, str]] = []
-    total = 0
-    for line_no, line in enumerate(text.splitlines(), start=1):
+
+def parse_score_lines(
+    lines: Iterable[bytes],
+    malformed: list[tuple[int, str]],
+    *,
+    out_of_range: Literal["raise", "keep", "skip"] = "raise",
+) -> Iterator[ScoreRecord]:
+    """Parse raw score-log lines into records, numbering lines from 1.
+
+    Blank lines are passed over; a line that is not UTF-8 or fails
+    validation is skipped and appends ``(line_no, reason)`` to
+    ``malformed``. A score outside [0, 1] raises InputError naming the line,
+    is kept, or is skipped as malformed, as ``out_of_range`` says.
+    """
+    for line_no, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            malformed.append((line_no, "invalid UTF-8"))
+            continue
         if not line.strip():
             continue
-        total += 1
         try:
-            records.append(parse_score_line(line, line_no, allow_out_of_range=rescale))
+            record = parse_score_line(line, allow_out_of_range=out_of_range == "keep")
         except _MalformedLine as exc:
-            skipped.append((line_no, str(exc)))
+            if out_of_range == "raise" and isinstance(exc, _OutOfRange):
+                raise InputError(f"line {line_no}: {exc} (use rescale to min-max rescale the file)") from None
+            malformed.append((line_no, str(exc)))
+            continue
+        yield record
+
+
+def read_score_log(path: str | Path, *, rescale: bool = False) -> ScoreLog:
+    """Read a line-delimited score log.
+
+    Malformed lines, undecodable ones included, are skipped and counted. A
+    single bad line is always tolerated (a writer may have been interrupted
+    mid-record); beyond that, more than ``MALFORMED_LINE_LIMIT`` of the
+    lines being malformed aborts the read. Scores outside [0, 1] are an
+    error unless ``rescale`` is set, in which case the whole file is min-max
+    rescaled onto [0, 1] after parsing.
+    """
+    path = Path(path)
+    skipped: list[tuple[int, str]] = []
+    records = list(parse_score_lines(read_log_lines(path), skipped, out_of_range="keep" if rescale else "raise"))
+    total = len(records) + len(skipped)
     if len(skipped) > 1 and len(skipped) / total > MALFORMED_LINE_LIMIT:
         raise InputError(
             f"{path}: {len(skipped)} of {total} lines malformed "
@@ -193,6 +243,23 @@ def write_score_log(records: Iterable[ScoreRecord], path: str | Path) -> None:
             fh.write(json.dumps(obj) + "\n")
 
 
+def csv_rows(path: str | Path, kind: str) -> Iterator[tuple[int, list[str]]]:
+    """Lazily yield a CSV file's stripped header as ``(1, header)``, then
+    ``(row_no, cells)`` for each non-blank row, numbered as in the file."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise InputError(f"{path}: empty file, expected a header row")
+            yield 1, [h.strip() for h in header]
+            for row_no, row in enumerate(reader, start=2):
+                if any(cell.strip() for cell in row):
+                    yield row_no, row
+    except OSError as exc:
+        raise InputError(f"cannot read {kind} {path}: {exc}") from exc
+
+
 def _parse_unit_score(value: str, row_no: int, column: str) -> float:
     try:
         score = float(value)
@@ -206,27 +273,15 @@ def _parse_unit_score(value: str, row_no: int, column: str) -> float:
 def read_paired(path: str | Path) -> list[PairedPrediction]:
     """Read a paired-prediction CSV with header ``entity_id,pred_a,pred_b[,label]``."""
     path = Path(path)
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise InputError(f"{path}: empty file, expected a header row") from None
-            rows = list(reader)
-    except OSError as exc:
-        raise InputError(f"cannot read paired CSV {path}: {exc}") from exc
-
-    header = [h.strip() for h in header]
+    rows = csv_rows(path, "paired CSV")
+    _, header = next(rows)
     if header not in (["entity_id", "pred_a", "pred_b"], ["entity_id", "pred_a", "pred_b", "label"]):
         raise InputError(
             f"{path}: header must be entity_id,pred_a,pred_b[,label], got {','.join(header)}"
         )
     has_label = len(header) == 4
     out: list[PairedPrediction] = []
-    for row_no, row in enumerate(rows, start=2):
-        if not any(cell.strip() for cell in row):
-            continue
+    for row_no, row in rows:
         if len(row) != len(header):
             raise InputError(f"row {row_no}: expected {len(header)} fields, got {len(row)}")
         entity = row[0].strip()
@@ -253,33 +308,22 @@ def read_tabular(path: str | Path, target_column: str, *, impute: bool = False) 
     are replaced by the column mean of the observed values.
     """
     path = Path(path)
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = [h.strip() for h in next(reader)]
-            except StopIteration:
-                raise InputError(f"{path}: empty file, expected a header row") from None
-            rows = [row for row in reader if any(cell.strip() for cell in row)]
-    except OSError as exc:
-        raise InputError(f"cannot read tabular CSV {path}: {exc}") from exc
-
+    rows = csv_rows(path, "tabular CSV")
+    _, header = next(rows)
     if target_column not in header:
         raise InputError(f"{path}: target column {target_column!r} not in header {header}")
     target_idx = header.index(target_column)
     feature_names = tuple(name for i, name in enumerate(header) if i != target_idx)
 
-    n = len(rows)
-    features = np.empty((n, len(feature_names)), dtype=np.float64)
-    target = np.empty(n, dtype=np.int8)
-    for i, row in enumerate(rows):
-        row_no = i + 2
+    values = array("d")  # row-major feature cells, NaN where missing
+    labels = array("b")
+    for row_no, row in rows:
         if len(row) != len(header):
             raise InputError(f"row {row_no}: expected {len(header)} fields, got {len(row)}")
         cell = row[target_idx].strip()
         if cell not in ("0", "1"):
             raise InputError(f"row {row_no}: target {target_column!r} must be 0 or 1, got {cell!r}")
-        target[i] = int(cell)
+        labels.append(int(cell))
         j = 0
         for k, raw in enumerate(row):
             if k == target_idx:
@@ -290,16 +334,21 @@ def read_tabular(path: str | Path, target_column: str, *, impute: bool = False) 
                     raise InputError(
                         f"row {row_no}: missing value in column {feature_names[j]!r} (use impute to mean-fill)"
                     )
-                features[i, j] = np.nan
+                values.append(math.nan)
             else:
                 try:
-                    features[i, j] = float(cell)
+                    value = float(cell)
                 except ValueError as exc:
                     raise InputError(
                         f"row {row_no}: column {feature_names[j]!r} is not numeric: {cell!r}"
                     ) from exc
+                if not math.isfinite(value):
+                    raise InputError(f"row {row_no}: non-finite value in column {feature_names[j]!r}")
+                values.append(value)
             j += 1
 
+    n = len(labels)
+    features = np.array(values, dtype=np.float64).reshape(n, len(feature_names))
     if impute and n > 0:
         for j in range(features.shape[1]):
             col = features[:, j]
@@ -308,10 +357,9 @@ def read_tabular(path: str | Path, target_column: str, *, impute: bool = False) 
                 raise InputError(f"column {feature_names[j]!r} has no observed values to impute from")
             if mask.any():
                 col[mask] = col[~mask].mean()
-    if n > 0 and not np.isfinite(features).all():
-        bad = np.argwhere(~np.isfinite(features))[0]
-        raise InputError(f"row {int(bad[0]) + 2}: non-finite value in column {feature_names[int(bad[1])]!r}")
-    return TabularDataset(feature_names, features, target)
+                if not np.isfinite(col).all():
+                    raise InputError(f"column {feature_names[j]!r}: mean of observed values is not finite")
+    return TabularDataset(feature_names, features, np.array(labels, dtype=np.int8))
 
 
 def dataset_from_arrays(feature_names: Sequence[str], rows, target) -> TabularDataset:

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from pathlib import Path
+from typing import Callable, Iterable, Sequence
 
 from .errors import PreconditionError
-from .ingest import ScoreRecord
+from .ingest import ScoreRecord, parse_score_lines, read_log_lines, read_score_log
 from .rdc import DEFAULT_DIAGNOSIS, DiagnosisConfig, Rdc, RdcDiagnosis, RdcPattern, build_rdc, diagnose, rdc_distance
 
 
@@ -22,7 +23,6 @@ class MonitorConfig:
     window_size: int = 1000
     bins: int = 100
     tv_threshold: float = 0.15
-    reference: Rdc | None = None
     diagnosis: DiagnosisConfig = field(default_factory=lambda: DEFAULT_DIAGNOSIS)
 
     def __post_init__(self) -> None:
@@ -78,35 +78,19 @@ def check_drift(
         current_diagnosis = diagnose(current, config.diagnosis)
     if reference_diagnosis is None:
         reference_diagnosis = diagnose(reference, config.diagnosis)
-    alerts: list[AlertEvent] = []
+    found: list[tuple[AlertKind, dict]] = []
     if current_diagnosis.pattern != reference_diagnosis.pattern:
-        alerts.append(
-            AlertEvent(
-                model_id,
-                window_index,
+        found.append(
+            (
                 AlertKind.PATTERN_CHANGE,
                 {"prior": reference_diagnosis.pattern.value, "current": current_diagnosis.pattern.value},
             )
         )
     if distance > config.tv_threshold:
-        alerts.append(
-            AlertEvent(
-                model_id,
-                window_index,
-                AlertKind.DRIFT,
-                {"distance": distance, "threshold": config.tv_threshold},
-            )
-        )
+        found.append((AlertKind.DRIFT, {"distance": distance, "threshold": config.tv_threshold}))
     if current_diagnosis.pattern is not RdcPattern.HEALTHY_BIMODAL:
-        alerts.append(
-            AlertEvent(
-                model_id,
-                window_index,
-                AlertKind.PATHOLOGY,
-                {"pattern": current_diagnosis.pattern.value},
-            )
-        )
-    return alerts
+        found.append((AlertKind.PATHOLOGY, {"pattern": current_diagnosis.pattern.value}))
+    return [AlertEvent(model_id, window_index, kind, detail) for kind, detail in found]
 
 
 class WindowedMonitor:
@@ -216,3 +200,78 @@ def apply_overrides(
         else:
             out.append(record)
     return out, overridden
+
+
+@dataclass
+class WatchSummary:
+    """Counters of one ``watch`` run; the fields of the CLI report."""
+
+    windows: int = 0
+    partial_windows: int = 0
+    alerts: dict[str, int] = field(default_factory=dict)  # alert kind -> count
+    alert_count: int = 0
+    dropped: dict[str, int] = field(default_factory=dict)
+    overridden: int = 0
+    malformed_lines: int = 0
+
+
+def watch(
+    path: str | Path,
+    config: MonitorConfig,
+    on_alert: Callable[[AlertEvent], None],
+    *,
+    reference: str | Path | None = None,
+    rules: Sequence[OverrideRule] = (),
+    follow: bool = False,
+    poll_interval: float = 1.0,
+) -> WatchSummary:
+    """Window a score log per model and check every window for drift.
+
+    Each window is compared with its model's chart from the ``reference``
+    log, or else with the model's first window. Overrides apply before
+    windowing; malformed lines, out-of-range scores included, are counted
+    and skipped. ``on_alert`` sees each alert as its window completes. With
+    ``follow`` the log is tailed and the call never returns.
+    """
+    references: dict[str, tuple[Rdc, RdcDiagnosis]] = {}
+    by_model: dict[str, list[float]] = {}
+    for record in read_score_log(reference).records if reference else ():
+        by_model.setdefault(record.model_id, []).append(record.score)
+    for model_id, scores in sorted(by_model.items()):
+        rdc = build_rdc(scores, config.bins)
+        references[model_id] = (rdc, diagnose(rdc, config.diagnosis))
+
+    monitor = WindowedMonitor(config)
+    summary = WatchSummary()
+    malformed: list[tuple[int, str]] = []
+
+    def handle(result: WindowResult) -> None:
+        summary.windows += 1
+        summary.partial_windows += result.partial
+        ref_rdc, ref_diagnosis = references.setdefault(result.model_id, (result.rdc, result.diagnosis))
+        alerts = check_drift(
+            result.rdc,
+            ref_rdc,
+            config,
+            model_id=result.model_id,
+            window_index=result.window_index,
+            current_diagnosis=result.diagnosis,
+            reference_diagnosis=ref_diagnosis,
+        )
+        for alert in alerts:
+            summary.alerts[alert.kind.value] = summary.alerts.get(alert.kind.value, 0) + 1
+            summary.alert_count += 1
+            on_alert(alert)
+
+    lines = read_log_lines(path, follow=follow, poll_interval=poll_interval)
+    for record in parse_score_lines(lines, malformed, out_of_range="skip"):
+        if rules:
+            [record], overridden = apply_overrides([record], rules)
+            summary.overridden += overridden
+        for result in monitor.feed(record):
+            handle(result)
+    for result in monitor.finish():
+        handle(result)
+    summary.dropped = monitor.dropped
+    summary.malformed_lines = len(malformed)
+    return summary

@@ -146,3 +146,9 @@ class TestCsvRoundTrip:
         path.write_text("variant,converted\nv3,1\n", encoding="utf-8")
         with pytest.raises(InputError, match="unknown variant"):
             read_blocked_csv(path)
+
+    def test_error_names_file_row_after_blank_row(self, tmp_path):
+        path = tmp_path / "o.csv"
+        path.write_text("variant,converted\nbase,1\n\nv1,2\n", encoding="utf-8")
+        with pytest.raises(InputError, match="^row 4: converted"):
+            read_blocked_csv(path)

@@ -1,14 +1,18 @@
 """End-to-end command behavior: reports, exit codes, charts, determinism."""
 
 import json
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from generators import bimodal_scores, central_scores, median_split_availability, score_records
 from scorescope.cli import main
-from scorescope.ingest import write_score_log
+from scorescope.ingest import read_score_log, write_score_log
 
 
 def run(argv, capsys):
@@ -57,6 +61,15 @@ class TestRdcCommand:
         code, _, err = run(["rdc", "--input", str(tmp_path / "nope.jsonl")], capsys)
         assert code == 1
         assert "cannot read" in err
+
+    def test_invalid_utf8_line_is_skipped(self, bimodal_log, capsys):
+        with open(bimodal_log, "ab") as fh:
+            fh.write(b'{"model_id":"m\xff","ts":0,"score":0.5}\n')
+        code, out, _ = run(["rdc", "--input", bimodal_log], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["results"]["skipped_lines"] == 1
+        assert list(report["results"]["models"]) == ["m1"]
 
     def test_too_few_records_exits_two(self, tmp_path, capsys):
         path = write_log(tmp_path / "tiny.jsonl", [0.5] * 10)
@@ -284,6 +297,69 @@ class TestWatchCommand:
         stream = write_log(tmp_path / "s.jsonl", bimodal_scores(200, 5))
         code, _, err = run(["watch", "--input", stream, "--once", "--override", "wat"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [b'{"model_id":"m\xff","ts":0,"score":0.5}', b'{"model_id":"m1","ts":0,"score":1.5}'],
+        ids=["invalid-utf8", "out-of-range"],
+    )
+    def test_bad_line_is_counted_not_fatal(self, tmp_path, capsys, bad_line):
+        stream = write_log(tmp_path / "s.jsonl", bimodal_scores(1200, 6))
+        with open(stream, "ab") as fh:
+            fh.write(bad_line + b"\n")
+        report_path = tmp_path / "r.json"
+        code, _, _ = run(["watch", "--input", stream, "--once", "--output", str(report_path)], capsys)
+        assert code == 0
+        results = json.loads(report_path.read_text(encoding="utf-8"))["results"]
+        assert results["malformed_lines"] == 1
+        assert results["windows"] == 2
+        assert results["dropped"] == {}
+
+    def test_monitor_reference_is_not_a_config_key(self, tmp_path, capsys):
+        stream = write_log(tmp_path / "s.jsonl", bimodal_scores(200, 5))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"monitor": {"reference": [1, 2, 3]}}), encoding="utf-8")
+        code, _, err = run(["watch", "--input", stream, "--once", "--config", str(config)], capsys)
+        assert code == 1
+        assert "reference" in err
+
+
+_VALID_LINES = st.builds(
+    lambda model, ts, score: json.dumps({"model_id": model, "ts": ts, "score": score}).encode(),
+    st.sampled_from(["m1", "m2"]),
+    st.integers(0, 10**6),
+    st.floats(0, 1),
+)
+_BAD_LINES = st.sampled_from(
+    [
+        b"not json",
+        b"[1, 2]",
+        b'{"model_id": "m1", "ts": -1, "score": 0.5}',
+        b'{"model_id": "m1", "ts": 0, "score": "high"}',
+        b"\xff\xfe",
+        b'{"model_id": "m\xff", "ts": 0, "score": 0.5}',
+        b'{"model_id": "m1", "ts": 0, "score": 0.5, "class": "\xc3"}',
+    ]
+)
+_BLANK_LINES = st.sampled_from([b"", b"   ", b"\t", b"\r"])
+
+
+@given(
+    st.data(),
+    st.lists(_VALID_LINES, min_size=40, max_size=60),
+    st.lists(_BAD_LINES, max_size=4),  # at most 4 of 44: under the read_score_log abort limit
+    st.lists(_BLANK_LINES, max_size=5),
+)
+@settings(max_examples=40, deadline=None)
+def test_watch_counts_the_lines_read_score_log_skips(data, valid, bad, blank):
+    lines = data.draw(st.permutations(valid + bad + blank))
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "log.jsonl"
+        log.write_bytes(b"".join(line + b"\n" for line in lines))
+        report = Path(tmp) / "watch.json"
+        assert main(["watch", "--input", str(log), "--once", "--output", str(report)]) == 0
+        results = json.loads(report.read_text(encoding="utf-8"))["results"]
+        assert results["malformed_lines"] == read_score_log(log).skipped == len(bad)
 
 
 class TestReportEnvelope:

@@ -1,6 +1,8 @@
 """Parsing, validation and round-trip behavior of the input readers."""
 
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from scorescope.errors import InputError
 from scorescope.ingest import (
     PairedPrediction,
     ScoreRecord,
+    read_log_lines,
     read_paired,
     read_score_log,
     read_tabular,
@@ -91,6 +94,34 @@ class TestScoreLog:
         with pytest.raises(InputError, match="cannot read"):
             read_score_log(tmp_path / "absent.jsonl")
 
+    def test_invalid_utf8_line_is_malformed(self, tmp_path):
+        good = b'{"model_id":"m1","ts":0,"score":0.5}\n'
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(good * 5 + b'{"model_id":"m\xff","ts":1,"score":0.5}\n' + good * 5)
+        log = read_score_log(path)
+        assert len(log.records) == 10
+        assert log.skipped_lines == [(6, "invalid UTF-8")]
+
+
+class TestFollow:
+    def test_incomplete_line_waits_for_its_newline(self, tmp_path):
+        path = tmp_path / "live.jsonl"
+        path.write_bytes(b"first\nsec")
+        lines = read_log_lines(path, follow=True, poll_interval=0.01)
+        assert next(lines) == b"first\n"
+
+        def finish_line():
+            time.sleep(0.2)
+            with path.open("ab") as fh:
+                fh.write(b"ond\n")
+
+        writer = threading.Thread(target=finish_line)
+        writer.start()
+        assert next(lines) == b"second\n"
+        writer.join(timeout=5)
+        assert not writer.is_alive()
+        lines.close()
+
 
 class TestPaired:
     def test_basic_row(self, tmp_path):
@@ -126,6 +157,11 @@ class TestPaired:
         lines = ["entity_id,pred_a,pred_b"] + [f"e{i},0.{i},0.{i}" for i in range(1, 8)]
         rows = read_paired(write_lines(tmp_path / "p.csv", lines))
         assert [r.entity_id for r in rows] == [f"e{i}" for i in range(1, 8)]
+
+    def test_error_names_file_row_after_blank_row(self, tmp_path):
+        lines = ["entity_id,pred_a,pred_b", "e1,0.1,0.2", "", "e2,0.1,x"]
+        with pytest.raises(InputError, match="^row 4: .*not numeric"):
+            read_paired(write_lines(tmp_path / "p.csv", lines))
 
 
 class TestTabular:
@@ -166,6 +202,12 @@ class TestTabular:
         lines = ["a,y", "red,1"]
         with pytest.raises(InputError, match="not numeric"):
             read_tabular(write_lines(tmp_path / "t.csv", lines), "y")
+
+    @pytest.mark.parametrize("cell, reason", [("x", "not numeric"), ("inf", "non-finite")])
+    def test_error_names_file_row_after_blank_row(self, tmp_path, cell, reason):
+        lines = ["a,target", "1,0", "", "2,1", f"{cell},1"]
+        with pytest.raises(InputError, match=f"^row 5: .*{reason}"):
+            read_tabular(write_lines(tmp_path / "t.csv", lines), "target")
 
 
 def test_parsing_is_deterministic(tmp_path):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import bimodal_scores, score_records
+from generators import bimodal_scores, score_records, spike_scores
 from scorescope.errors import PreconditionError
-from scorescope.ingest import ScoreRecord
+from scorescope.ingest import ScoreRecord, write_score_log
 from scorescope.monitor import (
     AlertKind,
     MonitorConfig,
@@ -15,6 +15,7 @@ from scorescope.monitor import (
     WindowedMonitor,
     apply_overrides,
     check_drift,
+    watch,
     windowed_rdcs,
 )
 from scorescope.rdc import Rdc, RdcPattern, build_rdc, diagnose, rdc_distance
@@ -118,6 +119,24 @@ class TestCheckDrift:
     def test_incompatible_binning(self):
         with pytest.raises(PreconditionError, match="binning"):
             check_drift(Rdc.from_counts([1, 1]), Rdc.from_counts([1, 1, 1]), MonitorConfig())
+
+
+class TestWatch:
+    def test_first_window_becomes_the_reference(self, tmp_path):
+        scores = np.concatenate([spike_scores(1000, 1), bimodal_scores(1000, 2)])
+        path = tmp_path / "log.jsonl"
+        write_score_log(score_records(scores), path)
+        alerts = []
+        summary = watch(path, MonitorConfig(window_size=1000), alerts.append)
+        assert [(a.window_index, a.kind) for a in alerts] == [
+            (0, AlertKind.PATHOLOGY),
+            (1, AlertKind.PATTERN_CHANGE),
+            (1, AlertKind.DRIFT),
+        ]
+        assert alerts[0].detail == {"pattern": RdcPattern.EXTREME_SPIKE.value}
+        assert alerts[1].detail == {"prior": "EXTREME_SPIKE", "current": "HEALTHY_BIMODAL"}
+        assert summary.windows == 2 and summary.alert_count == 3
+        assert summary.alerts == {"PATHOLOGY": 1, "PATTERN_CHANGE": 1, "DRIFT": 1}
 
 
 def _dummy_diag():
