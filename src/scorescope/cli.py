@@ -174,7 +174,11 @@ def cmd_rdc(args):
         if args.per_class:
             entry["classes"] = {}
             for label, class_rdc in one_vs_rest(recs, dconf.bins).items():
-                class_diag = diagnose(class_rdc, dconf)
+                try:
+                    class_diag = diagnose(class_rdc, dconf)
+                except PreconditionError as exc:  # one small class does not sink the others
+                    entry["classes"][label] = {"n": class_rdc.n, "skipped": str(exc)}
+                    continue
                 entry["classes"][label] = {
                     "n": class_rdc.n,
                     "pattern": class_diag.pattern,

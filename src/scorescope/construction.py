@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -26,6 +28,13 @@ class LogisticConfig:
     epochs: int = 500
     learning_rate: float = 0.1
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if isinstance(self.epochs, bool) or not isinstance(self.epochs, numbers.Integral) or self.epochs < 1:
+            raise PreconditionError(f"logistic epochs must be an integer >= 1, got {self.epochs!r}")
+        rate = self.learning_rate
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not 0.0 < rate < math.inf:
+            raise PreconditionError(f"logistic learning_rate must be a finite number > 0, got {rate!r}")
 
 
 DEFAULT_LOGISTIC = LogisticConfig()
@@ -208,24 +217,48 @@ def _check_training_input(x: np.ndarray, y: np.ndarray) -> None:
         raise PreconditionError("training needs both classes present")
 
 
-def _fit_logistic_arrays(x: np.ndarray, y: np.ndarray, config: LogisticConfig) -> LogisticModel:
-    _check_training_input(x, y)
-    z, means, stds, kept = _standardize(x)
-    m, d = z.shape
-    w = np.zeros(d)
-    b = 0.0
-    yf = y.astype(np.float64)
-    lr = config.learning_rate
-    for _ in range(config.epochs):
-        resid = _sigmoid(z @ w + b) - yf
-        w -= lr * (z.T @ resid) / m
-        b -= lr * resid.mean()
-    return LogisticModel(w, b, means, stds, kept)
+def _with_ones(z: np.ndarray, dtype) -> np.ndarray:
+    """Design matrix: standardized features plus a trailing ones column for the bias."""
+    return np.hstack([z, np.ones((z.shape[0], 1))]).astype(dtype)
+
+
+def _fit_logistic(xb: np.ndarray, ys: np.ndarray, logistic: LogisticConfig, workers: int = 1) -> np.ndarray:
+    """Full-batch gradient descent on log loss, one model per label column.
+
+    ``xb`` is a design matrix from ``_with_ones`` (the last weight is the
+    bias); ``ys`` holds one {0,1} label vector per column. Weights start at
+    zero and training runs in the dtype of the inputs with preallocated
+    buffers: float32 for the bias probe's hundreds of permutation refits,
+    float64 for a single model. With ``workers > 1`` column chunks train in
+    threads. Returns the weight matrix, one column per label column.
+    """
+    if workers > 1 and ys.shape[1] >= 2 * workers:
+        # column chunks are independent fits; hstack keeps the column order
+        chunks = np.array_split(np.arange(ys.shape[1]), workers)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            fits = [pool.submit(_fit_logistic, xb, np.ascontiguousarray(ys[:, c]), logistic) for c in chunks]
+            return np.hstack([fit.result() for fit in fits])
+    w = np.zeros((xb.shape[1], ys.shape[1]), dtype=xb.dtype)
+    z = np.empty((xb.shape[0], ys.shape[1]), dtype=xb.dtype)
+    step = xb.dtype.type(logistic.learning_rate / xb.shape[0])
+    for _ in range(logistic.epochs):
+        np.matmul(xb, w, out=z)
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1
+        np.reciprocal(z, out=z)  # z = sigmoid(xb @ w)
+        z -= ys
+        w -= step * (xb.T @ z)
+    return w
 
 
 def train_logistic(dataset: TabularDataset, config: LogisticConfig = DEFAULT_LOGISTIC) -> LogisticModel:
     """Full-batch gradient descent on log loss, zero-initialized, standardized features."""
-    return _fit_logistic_arrays(dataset.rows, dataset.target, config)
+    x, y = dataset.rows, dataset.target
+    _check_training_input(x, y)
+    z, means, stds, kept = _standardize(x)
+    w = _fit_logistic(_with_ones(z, np.float64), y[:, None].astype(np.float64), config)[:, 0]
+    return LogisticModel(w[:-1], w[-1], means, stds, kept)
 
 
 def train_stump(dataset: TabularDataset) -> DecisionStump:
@@ -270,6 +303,29 @@ def _fold_indices(n: int, folds: int, seed) -> list[np.ndarray]:
     return np.array_split(perm, folds)
 
 
+def _out_of_fold_aucs(
+    x: np.ndarray, labels: np.ndarray, folds: list[np.ndarray], logistic: LogisticConfig, workers: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fit every label column on each fold's training rows and score its test rows.
+
+    Each training split is standardized on its own statistics; fitting and
+    scoring run in the dtype of ``labels``. Returns the per-column AUCs of
+    the test decision values and the both-classes-present mask (see
+    ``_columnwise_auc``), one row per fold.
+    """
+    aucs, defined = [], []
+    for test_idx in folds:
+        train = np.ones(len(x), dtype=bool)
+        train[test_idx] = False
+        z, means, stds, kept = _standardize(x[train])
+        w = _fit_logistic(_with_ones(z, labels.dtype), labels[train], logistic, workers)
+        z_test = (x[np.ix_(test_idx, np.flatnonzero(kept))] - means) / stds
+        fold_auc, both = _columnwise_auc(_with_ones(z_test, labels.dtype) @ w, labels[test_idx])
+        aucs.append(fold_auc)
+        defined.append(both)
+    return np.array(aucs), np.array(defined)
+
+
 @dataclass(frozen=True)
 class LearnabilityReport:
     """Out-of-fold performance of the simple model against trivial baselines."""
@@ -299,7 +355,7 @@ def learnability_gap(
     """
     x, y = dataset.rows, dataset.target
     _check_training_input(x, y)
-    fold_aucs: list[float] = []
+    fitted: list[np.ndarray] = []
     stump_aucs: list[float] = []
     skipped: list[dict] = []
     for k, test_idx in enumerate(_fold_indices(len(y), folds, seed)):
@@ -309,12 +365,12 @@ def learnability_gap(
         if len(np.unique(y_train)) < 2 or len(np.unique(y_test)) < 2:
             skipped.append({"fold": k, "reason": "single-class train or test split"})
             continue
-        model = _fit_logistic_arrays(x[train_mask], y_train, logistic)
-        fold_aucs.append(auc(model.decision_values(x[test_idx]), y_test))
+        fitted.append(test_idx)
         stump = train_stump(TabularDataset(dataset.feature_names, x[train_mask], y_train))
         stump_aucs.append(auc(stump.predict_proba(x[test_idx]), y_test))
-    if not fold_aucs:
+    if not fitted:
         raise PreconditionError("every fold was single-class; cannot estimate learnability")
+    fold_aucs = _out_of_fold_aucs(x, y[:, None].astype(np.float64), fitted, logistic)[0][:, 0].tolist()
     mean_auc = float(np.mean(fold_aucs))
     return LearnabilityReport(
         logistic_auc=mean_auc,
@@ -370,50 +426,6 @@ class BiasReport:
     fold_aucs: tuple[float, ...] = field(default=())
 
 
-def _fit_logistic_batched(
-    xb: np.ndarray, ys: np.ndarray, epochs: int, learning_rate: float
-) -> np.ndarray:
-    """Fit one logistic model per label column, all with shared features.
-
-    ``xb`` is the standardized design matrix with a trailing ones column;
-    ``ys`` holds one {0,1} label vector per column. Training runs in float32
-    with preallocated buffers: the permutation test refits hundreds of
-    models and this path is what keeps it fast. Returns the weight matrix,
-    one column per label column.
-    """
-    m = xb.shape[0]
-    w = np.zeros((xb.shape[1], ys.shape[1]), dtype=np.float32)
-    z = np.empty((m, ys.shape[1]), dtype=np.float32)
-    step = np.float32(learning_rate / m)
-    for _ in range(epochs):
-        np.matmul(xb, w, out=z)
-        np.negative(z, out=z)
-        np.exp(z, out=z)
-        z += np.float32(1.0)
-        np.reciprocal(z, out=z)  # z = sigmoid(xb @ w)
-        z -= ys
-        w -= step * (xb.T @ z)
-    return w
-
-
-def _fit_logistic_columns(
-    xb: np.ndarray, ys: np.ndarray, epochs: int, learning_rate: float, workers: int
-) -> np.ndarray:
-    if workers <= 1 or ys.shape[1] < 2 * workers:
-        return _fit_logistic_batched(xb, ys, epochs, learning_rate)
-    # column chunks are independent fits; results land by column index
-    chunks = np.array_split(np.arange(ys.shape[1]), workers)
-    w = np.empty((xb.shape[1], ys.shape[1]), dtype=np.float32)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_fit_logistic_batched, xb, np.ascontiguousarray(ys[:, c]), epochs, learning_rate)
-            for c in chunks
-        ]
-        for c, fut in zip(chunks, futures):
-            w[:, c] = fut.result()
-    return w
-
-
 def bias_severity(
     features,
     has_label,
@@ -429,8 +441,10 @@ def bias_severity(
     A logistic classifier predicts label availability from the features;
     its out-of-fold AUC (mean over folds, matching ``learnability_gap``) is
     compared against refits on ``permutations`` shuffled availability
-    vectors. The permutation p-value is the fraction of shuffled refits
-    reaching the observed AUC. High AUC with a small p-value means the
+    vectors. The permutation p-value is (b + 1) / (m + 1), where b of the m
+    scorable shuffled refits reach the observed AUC (Phipson & Smyth 2010):
+    it is never 0, and never below 1 / (permutations + 1), so a cutoff under
+    that floor cannot be met. High AUC with a small p-value means the
     labeled rows are systematically different, so metrics computed on them
     will not transfer.
     """
@@ -454,36 +468,14 @@ def bias_severity(
     for j in range(1, permutations + 1):
         labels[:, j] = y[rng.permutation(n)]
 
-    auc_sums = np.zeros(permutations + 1)
-    auc_counts = np.zeros(permutations + 1, dtype=np.int64)
-    fold_aucs: list[float] = []
-    for test_idx in fold_idx:
-        train_mask = np.ones(n, dtype=bool)
-        train_mask[test_idx] = False
-        z, means, stds, kept = _standardize(x[train_mask])
-        xb = np.ascontiguousarray(
-            np.hstack([z, np.ones((z.shape[0], 1))]), dtype=np.float32
-        )
-        w = _fit_logistic_columns(
-            xb, labels[train_mask], logistic.epochs, logistic.learning_rate, workers
-        )
-        z_test = (x[np.ix_(test_idx, np.flatnonzero(kept))] - means) / stds
-        xb_test = np.hstack([z_test, np.ones((len(test_idx), 1))]).astype(np.float32)
-        scores = xb_test @ w  # decision values; AUC is rank-based
-        fold_auc, defined = _columnwise_auc(scores, labels[test_idx])
-        auc_sums[defined] += fold_auc[defined]
-        auc_counts[defined] += 1
-        if defined[0]:
-            fold_aucs.append(float(fold_auc[0]))
-
-    if auc_counts[0] == 0:
-        raise PreconditionError("no fold had both availability classes; cannot estimate the probe AUC")
+    aucs, defined = _out_of_fold_aucs(x, labels, fold_idx, logistic, workers)
     # a permuted column with no valid fold cannot be scored; drop it from the null
-    valid = auc_counts > 0
-    aucs = np.where(valid, auc_sums / np.maximum(auc_counts, 1), np.nan)
-    observed = float(aucs[0])
-    null = aucs[1:][valid[1:]]
-    p_value = float(np.mean(null >= observed)) if null.size else 1.0
+    valid = defined.any(axis=0)
+    if not valid[0]:
+        raise PreconditionError("no fold had both availability classes; cannot estimate the probe AUC")
+    scored = np.where(defined, aucs, 0.0).sum(axis=0)[valid] / defined.sum(axis=0)[valid]
+    observed, null = float(scored[0]), scored[1:]
+    p_value = (int((null >= observed).sum()) + 1) / (null.size + 1)
     if observed >= cutoffs.severe_auc and p_value <= cutoffs.severe_p:
         severity = BiasSeverity.SEVERE
     elif observed >= cutoffs.mild_auc and p_value <= cutoffs.mild_p:
@@ -499,6 +491,6 @@ def bias_severity(
         permutations=permutations,
         folds=folds,
         seed=seed,
-        fold_aucs=tuple(fold_aucs),
+        fold_aucs=tuple(aucs[defined[:, 0], 0].tolist()),
     )
 

@@ -258,6 +258,8 @@ def csv_rows(path: str | Path, kind: str) -> Iterator[tuple[int, list[str]]]:
                     yield row_no, row
     except OSError as exc:
         raise InputError(f"cannot read {kind} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {kind} {path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def _parse_unit_score(value: str, row_no: int, column: str) -> float:

@@ -95,6 +95,20 @@ class TestRdcCommand:
         classes = json.loads(out)["results"]["models"]["m1"]["classes"]
         assert set(classes) == {"a", "b"}
 
+    def test_per_class_small_class_is_skipped(self, tmp_path, capsys):
+        records = score_records(bimodal_scores(50, 1), class_label="small") + score_records(
+            bimodal_scores(550, 2), class_label="big"
+        )
+        path = tmp_path / "classes.jsonl"
+        write_score_log(records, path)
+        code, out, _ = run(["rdc", "--input", str(path), "--per-class"], capsys)
+        assert code == 0
+        results = json.loads(out)["results"]
+        classes = results["models"]["m1"]["classes"]
+        assert classes["small"] == {"n": 50, "skipped": "need at least 100 samples, got 50"}
+        assert classes["big"]["n"] == 550 and classes["big"]["pattern"] == "HEALTHY_BIMODAL"
+        assert "m1/small" not in results.get("unhealthy", [])
+
     def test_config_file_overrides_thresholds(self, tmp_path, capsys):
         path = write_log(tmp_path / "small.jsonl", list(np.random.default_rng(0).beta(5, 5, 60)))
         config = tmp_path / "config.json"
@@ -171,9 +185,10 @@ class TestBiasCommand:
 
     def test_severe_detected_and_strict_exits_three(self, tmp_path, capsys):
         path = self.make_csv(tmp_path, biased=True)
+        # SEVERE needs p <= 0.01, and p is at least 1/(permutations + 1)
         code, out, _ = run(
             ["bias", "--input", path, "--availability-column", "has_label",
-             "--permutations", "30", "--strict"],
+             "--permutations", "100", "--strict"],
             capsys,
         )
         assert code == 3
@@ -191,6 +206,18 @@ class TestBiasCommand:
         report = json.loads(out)
         assert report["results"]["severity"] == "NONE"
         assert report["decisions"]["cutoffs"]["severe_auc"] == 0.75
+
+    @pytest.mark.parametrize(
+        "logistic",
+        [{"epochs": "500"}, {"epochs": 0}, {"epochs": True}, {"learning_rate": -1.0}, {"learning_rate": float("nan")}],
+    )
+    def test_bad_logistic_config_exits_two(self, tmp_path, capsys, logistic):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"logistic": logistic}), encoding="utf-8")
+        argv = ["bias", "--input", self.make_csv(tmp_path), "--availability-column", "has_label"]
+        code, out, err = run(argv + ["--permutations", "5", "--config", str(config)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: logistic ") and "Traceback" not in err
 
 
 class TestSetupCommand:

@@ -261,3 +261,31 @@ def test_logistic_config_is_tunable():
     quick = train_logistic(ds, LogisticConfig(epochs=5, learning_rate=0.5))
     long = train_logistic(ds)
     assert not np.array_equal(quick.weights, long.weights)
+
+
+def test_permutation_p_is_never_zero():
+    report = bias_severity(*median_split_availability(800, seed=0), permutations=20, seed=0)
+    assert report.auc >= 0.95
+    assert report.permutation_p == 1 / 21  # no shuffled refit reaches the observed AUC
+    assert report.severity is not BiasSeverity.SEVERE  # 1/21 cannot meet the 0.01 cutoff
+
+
+@given(st.integers(1, 12), st.integers(0, 2**16), st.floats(0.0, 3.0))
+@settings(max_examples=25, deadline=None)
+def test_permutation_p_never_below_its_floor(permutations, seed, signal):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(40, 2))
+    has = (signal * x[:, 0] + rng.normal(size=40) > 0).astype(int)
+    assume(0 < has.sum() < 40)
+    report = bias_severity(x, has, permutations=permutations, seed=seed)
+    assert 1 / (permutations + 1) <= report.permutation_p <= 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("make", [separable_dataset, null_dataset])
+def test_bias_and_learnability_share_folds(make, seed):
+    ds = make(200, seed=seed)
+    learn = learnability_gap(ds, seed=seed)
+    bias = bias_severity(ds.rows, ds.target, permutations=20, seed=seed)
+    assert not learn.skipped_folds and len(bias.fold_aucs) == len(learn.fold_aucs) == 5
+    assert bias.fold_aucs == pytest.approx(learn.fold_aucs, abs=1e-3)  # float32 vs float64 fits

@@ -1,12 +1,14 @@
 """Parsing, validation and round-trip behavior of the input readers."""
 
 import json
+import re
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from scorescope.blocked import read_blocked_csv
 from scorescope.errors import InputError
 from scorescope.ingest import (
     PairedPrediction,
@@ -218,3 +220,18 @@ def test_parsing_is_deterministic(tmp_path):
     ]
     path = write_lines(tmp_path / "log.jsonl", lines)
     assert read_score_log(path).records == read_score_log(path).records
+
+
+@pytest.mark.parametrize(
+    "read, header",
+    [
+        (read_paired, b"entity_id,pred_a,pred_b"),
+        (lambda path: read_tabular(path, "y"), b"a,y"),
+        (read_blocked_csv, b"variant,converted"),
+    ],
+)
+def test_non_utf8_csv_is_an_input_error(tmp_path, read, header):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(header + b"\ncaf\xe9,1\n")
+    with pytest.raises(InputError, match=re.escape(f"{path}: not UTF-8")):
+        read(path)
