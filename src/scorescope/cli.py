@@ -12,7 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, fields, is_dataclass, replace
+from dataclasses import asdict, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -38,10 +38,10 @@ from .construction import (
 )
 from .errors import InputError, PreconditionError
 from .experiments import disagreement, impacted_traffic_curve, required_sample_size
-from .ingest import ScoreRecord, dataset_from_arrays, read_paired, read_score_log, read_tabular
+from .ingest import dataset_from_arrays, read_paired, read_score_log, read_tabular
 from .ingest import parse_score_line  # noqa: F401  only perfbench/test_perfbench.py reads cli.parse_score_line
 from .monitor import MonitorConfig, OverrideRule, watch
-from .rdc import DEFAULT_DIAGNOSIS, RdcPattern, build_rdc, diagnose, one_vs_rest
+from .rdc import DEFAULT_DIAGNOSIS, RdcPattern, build_rdc, diagnose_or_skip, group_by, one_vs_rest
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -113,41 +113,29 @@ def _apply_section(instance, section: str, overrides: dict):
     data = overrides.get(section, {})
     if not isinstance(data, dict):
         raise InputError(f"config section {section!r} must be an object")
-    valid = {f.name for f in fields(instance)}
-    unknown = sorted(set(data) - valid)
+    # a nested config (monitor.diagnosis) is set through its own section only
+    settable = {key: value for key, value in vars(instance).items() if not is_dataclass(value)}
+    unknown = sorted(set(data) - set(settable))
     if unknown:
         raise InputError(f"config section {section!r} has unknown keys: {', '.join(unknown)}")
     known_sections = {"diagnosis", "monitor", "bias_cutoffs", "logistic"}
     stray = sorted(set(overrides) - known_sections)
     if stray:
         raise InputError(f"unknown config sections: {', '.join(stray)}")
+    for key, value in data.items():  # an int field takes an int, a float field either; a bool is never a number
+        number = isinstance(settable[key], float)
+        if isinstance(value, bool) or not isinstance(value, (int, float) if number else int):
+            raise PreconditionError(f"{section} {key} must be {'a number' if number else 'an integer'}, got {value!r}")
     return replace(instance, **data) if data else instance
 
 
 def _diagnosis_config(args, overrides: dict):
-    config = DEFAULT_DIAGNOSIS
-    if getattr(args, "bins", None):
-        config = replace(config, bins=args.bins)
-    return _apply_section(config, "diagnosis", overrides)
+    return _apply_section(replace(DEFAULT_DIAGNOSIS, bins=args.bins), "diagnosis", overrides)
 
 
 # ---------------------------------------------------------------------------
 # command handlers: each returns (inputs, results, decisions, exit_code)
 # ---------------------------------------------------------------------------
-
-
-def _model_chart_report(scores, bins, dconf):
-    rdc = build_rdc(scores, bins)
-    diag = diagnose(rdc, dconf)
-    entry = {
-        "n": rdc.n,
-        "bins": rdc.bin_count,
-        "counts": rdc.counts,
-        "pattern": diag.pattern,
-        "evidence": diag.evidence,
-        "threshold_band": diag.threshold_band,
-    }
-    return rdc, diag, entry
 
 
 def _safe_name(name: str) -> str:
@@ -161,42 +149,42 @@ def cmd_rdc(args):
     records = [r for r in log.records if args.model is None or r.model_id == args.model]
     if not records:
         raise PreconditionError("no score records to chart (check --model and the input log)")
-    by_model: dict[str, list[ScoreRecord]] = {}
-    for r in records:
-        by_model.setdefault(r.model_id, []).append(r)
 
     results: dict = {"models": {}, "skipped_lines": log.skipped}
     charts: dict[str, str] = {}
     unhealthy = []
-    for model_id in sorted(by_model):
-        recs = by_model[model_id]
-        rdc, diag, entry = _model_chart_report([r.score for r in recs], dconf.bins, dconf)
-        if args.per_class:
-            entry["classes"] = {}
-            for label, class_rdc in one_vs_rest(recs, dconf.bins).items():
-                try:
-                    class_diag = diagnose(class_rdc, dconf)
-                except PreconditionError as exc:  # one small class does not sink the others
-                    entry["classes"][label] = {"n": class_rdc.n, "skipped": str(exc)}
-                    continue
-                entry["classes"][label] = {
-                    "n": class_rdc.n,
-                    "pattern": class_diag.pattern,
-                    "evidence": class_diag.evidence,
-                    "threshold_band": class_diag.threshold_band,
-                }
-                if class_diag.pattern is not RdcPattern.HEALTHY_BIMODAL:
-                    unhealthy.append(f"{model_id}/{label}")
-        results["models"][model_id] = entry
+
+    def chart_entry(name: str, rdc):
+        """Diagnosis and report entry of one chart; a chart too small to diagnose is skipped."""
+        diag = diagnose_or_skip(rdc, dconf)
+        if isinstance(diag, str):
+            return None, {"n": rdc.n, "skipped": diag}
         if diag.pattern is not RdcPattern.HEALTHY_BIMODAL:
-            unhealthy.append(model_id)
+            unhealthy.append(name)
+        entry = {"n": rdc.n, "pattern": diag.pattern, "evidence": diag.evidence, "threshold_band": diag.threshold_band}
+        return diag, entry
+
+    by_model = group_by(records, "model_id")
+    for model_id, group in by_model.items():
+        rdc = build_rdc([r.score for r in group], dconf.bins)
+        diag, entry = chart_entry(model_id, rdc)
+        results["models"][model_id] = entry
+        if diag is None:
+            continue
+        entry.update(bins=rdc.bin_count, counts=rdc.counts)
+        if args.per_class:
+            classes = one_vs_rest(group, dconf.bins)
+            entry["classes"] = {label: chart_entry(f"{model_id}/{label}", c)[1] for label, c in classes.items()}
         if args.svg:
             locations = tuple(m["location"] for m in diag.evidence["modes"])
             charts[model_id] = rdc_chart(rdc, diag.threshold_band, locations, title=model_id)
+    if all("skipped" in entry for entry in results["models"].values()):
+        reasons = "; ".join(f"{model_id}: {entry['skipped']}" for model_id, entry in results["models"].items())
+        raise PreconditionError(f"no model has enough records to diagnose ({reasons})")
 
     if args.svg:
         svg_path = Path(args.svg)
-        if len(charts) == 1:
+        if len(by_model) == 1:
             svg_path.write_text(next(iter(charts.values())), encoding="utf-8")
         else:
             for model_id, chart in charts.items():
@@ -210,23 +198,21 @@ def cmd_rdc(args):
     return {"input": args.input}, results, asdict(dconf), code
 
 
+def _bias_probe(args, features, flags, cutoffs, logistic) -> dict:
+    """The selection-bias probe's results, noting when the p-value floor put SEVERE out of reach."""
+    k = args.permutations
+    results = asdict(bias_severity(features, flags, args.folds, k, args.seed, args.workers, cutoffs, logistic))
+    if 1 / (k + 1) > cutoffs.severe_p:
+        results["severe_unreachable"] = f"SEVERE needs p <= {cutoffs.severe_p}; {k} permutations give p >= 1/{k + 1}"
+    return results
+
+
 def cmd_bias(args):
     overrides = _load_overrides(args.config)
     cutoffs = _apply_section(DEFAULT_BIAS_CUTOFFS, "bias_cutoffs", overrides)
     logistic = _apply_section(DEFAULT_LOGISTIC, "logistic", overrides)
     dataset = read_tabular(args.input, args.availability_column, impute=args.impute)
-    report = bias_severity(
-        dataset.rows,
-        dataset.target,
-        folds=args.folds,
-        permutations=args.permutations,
-        seed=args.seed,
-        workers=args.workers,
-        cutoffs=cutoffs,
-        logistic=logistic,
-    )
-    results = asdict(report)
-    results["severity"] = report.severity
+    results = _bias_probe(args, dataset.rows, dataset.target, cutoffs, logistic)
     results["note"] = (
         "severity cutoffs are heuristic conventions; a separable availability "
         "flag means metrics on labeled rows will not transfer to serving traffic"
@@ -238,7 +224,7 @@ def cmd_bias(args):
         "seed": args.seed,
         "logistic": asdict(logistic),
     }
-    code = EXIT_STRICT if args.strict and report.severity is not BiasSeverity.NONE else EXIT_OK
+    code = EXIT_STRICT if args.strict and results["severity"] is not BiasSeverity.NONE else EXIT_OK
     return {"input": args.input}, results, decisions, code
 
 
@@ -266,18 +252,7 @@ def cmd_setup(args):
     learnability = learnability_gap(dataset, folds=args.folds, seed=args.seed, logistic=logistic)
     results = {"balance": asdict(balance), "learnability": asdict(learnability), "bias": None}
     if flags is not None:
-        bias = bias_severity(
-            dataset.rows,
-            flags,
-            folds=args.folds,
-            permutations=args.permutations,
-            seed=args.seed,
-            workers=args.workers,
-            cutoffs=cutoffs,
-            logistic=logistic,
-        )
-        results["bias"] = asdict(bias)
-        results["bias"]["severity"] = bias.severity
+        results["bias"] = _bias_probe(args, dataset.rows, flags, cutoffs, logistic)
     decisions = {
         "folds": args.folds,
         "seed": args.seed,
@@ -425,11 +400,8 @@ def _emit_alert(alert) -> None:
 def cmd_watch(args):
     overrides = _load_overrides(args.config)
     dconf = _diagnosis_config(args, overrides)
-    mconf = _apply_section(
-        MonitorConfig(window_size=args.window, bins=dconf.bins, tv_threshold=args.tv_threshold, diagnosis=dconf),
-        "monitor",
-        overrides,
-    )
+    mconf = MonitorConfig(window_size=args.window, tv_threshold=args.tv_threshold, diagnosis=dconf)
+    mconf = _apply_section(mconf, "monitor", overrides)
     rules = [_parse_override(rule) for rule in args.override or []]
     summary = watch(
         args.input,
@@ -441,6 +413,8 @@ def cmd_watch(args):
         poll_interval=args.poll_interval,
     )
     results = asdict(summary)
+    if not summary.skipped_references:
+        del results["skipped_references"]
     decisions = {
         "window_size": mconf.window_size,
         "tv_threshold": mconf.tv_threshold,
@@ -472,6 +446,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None, help="JSON file overriding threshold defaults")
     common.add_argument("--strict", action="store_true", help="exit 3 when a finding fires")
 
+    probe = argparse.ArgumentParser(add_help=False)
+    probe.add_argument("--impute", action="store_true", help="mean-impute missing feature cells")
+    probe.add_argument("--folds", type=int, default=5, help="cross-validation folds")
+    probe.add_argument("--permutations", type=int, default=200, help="label-shuffled refits of the bias probe")
+    probe.add_argument("--workers", type=int, default=1, help="threads for permutation refits")
+
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
     p = sub.add_parser("rdc", parents=[common], formatter_class=fmt, help="chart and diagnose a score log")
@@ -483,23 +463,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", default=None, help="write an SVG chart here")
     p.set_defaults(handler=cmd_rdc)
 
-    p = sub.add_parser("bias", parents=[common], formatter_class=fmt, help="selection-bias severity probe")
+    p = sub.add_parser("bias", parents=[common, probe], formatter_class=fmt, help="selection-bias severity probe")
     p.add_argument("--input", "-i", required=True, help="tabular CSV")
     p.add_argument("--availability-column", required=True, help="binary column: 1 when a label can be computed")
-    p.add_argument("--impute", action="store_true", help="mean-impute missing feature cells")
-    p.add_argument("--folds", type=int, default=5, help="cross-validation folds")
-    p.add_argument("--permutations", type=int, default=200, help="label-shuffled refits")
-    p.add_argument("--workers", type=int, default=1, help="threads for permutation refits")
     p.set_defaults(handler=cmd_bias)
 
-    p = sub.add_parser("setup", parents=[common], formatter_class=fmt, help="score a problem construction")
+    p = sub.add_parser("setup", parents=[common, probe], formatter_class=fmt, help="score a problem construction")
     p.add_argument("--input", "-i", required=True, help="tabular CSV")
     p.add_argument("--target", required=True, help="binary target column")
     p.add_argument("--availability-column", default=None, help="also run the bias probe on this flag column")
-    p.add_argument("--impute", action="store_true", help="mean-impute missing feature cells")
-    p.add_argument("--folds", type=int, default=5, help="cross-validation folds")
-    p.add_argument("--permutations", type=int, default=200, help="label-shuffled refits (bias probe)")
-    p.add_argument("--workers", type=int, default=1, help="threads for permutation refits")
     p.set_defaults(handler=cmd_setup)
 
     p = sub.add_parser("disagree", parents=[common], formatter_class=fmt, help="disagreement rate of paired predictions")

@@ -27,7 +27,6 @@ from .ingest import TabularDataset
 class LogisticConfig:
     epochs: int = 500
     learning_rate: float = 0.1
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if isinstance(self.epochs, bool) or not isinstance(self.epochs, numbers.Integral) or self.epochs < 1:

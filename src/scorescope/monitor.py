@@ -15,15 +15,20 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import PreconditionError
 from .ingest import ScoreRecord, parse_score_lines, read_log_lines, read_score_log
-from .rdc import DEFAULT_DIAGNOSIS, DiagnosisConfig, Rdc, RdcDiagnosis, RdcPattern, build_rdc, diagnose, rdc_distance
+from .rdc import DEFAULT_DIAGNOSIS, DiagnosisConfig, Rdc, RdcDiagnosis, RdcPattern, build_rdc, charts_by, diagnose
+from .rdc import diagnose_or_skip, rdc_distance
 
 
 @dataclass(frozen=True)
 class MonitorConfig:
     window_size: int = 1000
-    bins: int = 100
     tv_threshold: float = 0.15
     diagnosis: DiagnosisConfig = field(default_factory=lambda: DEFAULT_DIAGNOSIS)
+
+    @property
+    def bins(self) -> int:
+        """Chart bin count: the diagnosis's, so windows and references share it."""
+        return self.diagnosis.bins
 
     def __post_init__(self) -> None:
         floor = max(100, self.diagnosis.min_samples)
@@ -112,7 +117,7 @@ class WindowedMonitor:
     def _emit(self, model_id: str, scores: list[float], partial: bool) -> WindowResult:
         index = self._window_counts.get(model_id, 0)
         self._window_counts[model_id] = index + 1
-        rdc = build_rdc(scores, self.config.bins)
+        rdc = build_rdc(scores, self.config.diagnosis.bins)
         return WindowResult(model_id, index, rdc, diagnose(rdc, self.config.diagnosis), partial)
 
     def feed(self, record: ScoreRecord) -> list[WindowResult]:
@@ -213,6 +218,7 @@ class WatchSummary:
     dropped: dict[str, int] = field(default_factory=dict)
     overridden: int = 0
     malformed_lines: int = 0
+    skipped_references: dict[str, str] = field(default_factory=dict)  # model -> why its chart went unused
 
 
 def watch(
@@ -228,21 +234,23 @@ def watch(
     """Window a score log per model and check every window for drift.
 
     Each window is compared with its model's chart from the ``reference``
-    log, or else with the model's first window. Overrides apply before
-    windowing; malformed lines, out-of-range scores included, are counted
-    and skipped. ``on_alert`` sees each alert as its window completes. With
-    ``follow`` the log is tailed and the call never returns.
+    log, or else with the model's first window; a reference chart too small
+    to diagnose is left out and named in ``skipped_references``. Overrides
+    apply before windowing; malformed lines, out-of-range scores included,
+    are counted and skipped. ``on_alert`` sees each alert as its window
+    completes. With ``follow`` the log is tailed and the call never returns.
     """
+    summary = WatchSummary()
     references: dict[str, tuple[Rdc, RdcDiagnosis]] = {}
-    by_model: dict[str, list[float]] = {}
-    for record in read_score_log(reference).records if reference else ():
-        by_model.setdefault(record.model_id, []).append(record.score)
-    for model_id, scores in sorted(by_model.items()):
-        rdc = build_rdc(scores, config.bins)
-        references[model_id] = (rdc, diagnose(rdc, config.diagnosis))
+    reference_records = read_score_log(reference).records if reference else ()
+    for model_id, rdc in charts_by(reference_records, "model_id", config.diagnosis.bins).items():
+        diagnosis = diagnose_or_skip(rdc, config.diagnosis)
+        if isinstance(diagnosis, str):
+            summary.skipped_references[model_id] = diagnosis
+        else:
+            references[model_id] = (rdc, diagnosis)
 
     monitor = WindowedMonitor(config)
-    summary = WatchSummary()
     malformed: list[tuple[int, str]] = []
 
     def handle(result: WindowResult) -> None:

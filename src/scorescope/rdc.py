@@ -394,14 +394,35 @@ def diagnose(rdc: Rdc, config: DiagnosisConfig = DEFAULT_DIAGNOSIS) -> RdcDiagno
     return RdcDiagnosis(RdcPattern.INDETERMINATE, evidence)
 
 
+def diagnose_or_skip(rdc: Rdc, config: DiagnosisConfig = DEFAULT_DIAGNOSIS) -> RdcDiagnosis | str:
+    """``diagnose`` the chart, or return why it has too few samples for it."""
+    try:
+        return diagnose(rdc, config)
+    except PreconditionError as exc:
+        if rdc.n >= config.min_samples:
+            raise
+        return str(exc)
+
+
+def group_by(records: Iterable[ScoreRecord], field: str) -> dict[str, list[ScoreRecord]]:
+    """Records grouped by a field that every record must carry, in key order."""
+    groups: dict[str, list[ScoreRecord]] = {}
+    for i, rec in enumerate(records):
+        key = getattr(rec, field)
+        if key is None:
+            raise PreconditionError(f"record {i} has no {field.replace('_', ' ')}")
+        groups.setdefault(key, []).append(rec)
+    return dict(sorted(groups.items()))
+
+
+def charts_by(records: Iterable[ScoreRecord], field: str, bin_count: int = 100) -> dict[str, Rdc]:
+    """One chart per value of a record field, in key order."""
+    return {key: build_rdc([r.score for r in group], bin_count) for key, group in group_by(records, field).items()}
+
+
 def one_vs_rest(records: Iterable[ScoreRecord], bin_count: int = 100) -> dict[str, Rdc]:
     """One chart per class from multi-class one-vs-rest score records."""
-    by_class: dict[str, list[float]] = {}
-    for i, rec in enumerate(records):
-        if rec.class_label is None:
-            raise PreconditionError(f"record {i} has no class label")
-        by_class.setdefault(rec.class_label, []).append(rec.score)
-    return {label: build_rdc(scores, bin_count) for label, scores in sorted(by_class.items())}
+    return charts_by(records, "class_label", bin_count)
 
 
 def rdc_distance(a: Rdc, b: Rdc) -> float:

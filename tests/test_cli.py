@@ -76,6 +76,28 @@ class TestRdcCommand:
         code, _, err = run(["rdc", "--input", path], capsys)
         assert code == 2
 
+    def test_small_model_is_skipped_not_fatal(self, tmp_path, capsys):
+        records = score_records(bimodal_scores(2000, 1), model_id="big") + score_records(
+            bimodal_scores(50, 2), model_id="small"
+        )
+        path = tmp_path / "models.jsonl"
+        write_score_log(records, path)
+        code, out, _ = run(["rdc", "--input", str(path), "--svg", str(tmp_path / "chart.svg")], capsys)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["models"]["small"] == {"n": 50, "skipped": "need at least 100 samples, got 50"}
+        assert results["models"]["big"]["pattern"] == "HEALTHY_BIMODAL"
+        assert "small" not in results.get("unhealthy", [])
+        assert sorted(p.name for p in tmp_path.glob("*.svg")) == ["chart_big.svg"]
+
+    def test_every_model_too_small_exits_two(self, tmp_path, capsys):
+        records = score_records(bimodal_scores(50, 1), model_id="a") + score_records(bimodal_scores(60, 2), model_id="b")
+        path = tmp_path / "models.jsonl"
+        write_score_log(records, path)
+        code, out, err = run(["rdc", "--input", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert "a: need at least 100 samples, got 50; b: need at least 100 samples, got 60" in err
+
     def test_svg_emitted_and_valid(self, bimodal_log, tmp_path, capsys):
         svg = tmp_path / "chart.svg"
         code, _, _ = run(["rdc", "--input", bimodal_log, "--svg", str(svg)], capsys)
@@ -220,6 +242,37 @@ class TestBiasCommand:
         assert err.startswith("error: logistic ") and "Traceback" not in err
 
 
+    def test_logistic_seed_is_gone(self, tmp_path, capsys):
+        argv = ["bias", "--input", self.make_csv(tmp_path), "--availability-column", "has_label", "--permutations", "5"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["decisions"]["logistic"] == {"epochs": 500, "learning_rate": 0.1}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"logistic": {"seed": 3}}), encoding="utf-8")
+        code, _, err = run(argv + ["--config", str(config)], capsys)
+        assert code == 1
+        assert "unknown keys: seed" in err
+
+    @pytest.mark.parametrize(
+        "command, permutations, noted",
+        [("bias", 20, True), ("bias", 200, False), ("setup", 20, True)],
+    )
+    def test_note_when_severe_is_unreachable(self, tmp_path, capsys, command, permutations, noted):
+        x, has = median_split_availability(200, seed=0)
+        rows = [f"{a:.6f},{b:.6f},{int(b > 0)},{h}" for (a, b), h in zip(x, has)]
+        path = write_csv(tmp_path / "t.csv", "f1,f2,target,has_label", rows)
+        argv = [command, "--input", path, "--availability-column", "has_label", "--permutations", str(permutations)]
+        code, out, _ = run(argv + (["--target", "target"] if command == "setup" else []), capsys)
+        assert code == 0
+        results = json.loads(out)["results"]
+        probe = results["bias"] if command == "setup" else results
+        assert ("severe_unreachable" in probe) is noted
+        if noted:
+            assert probe["severe_unreachable"] == (
+                "SEVERE needs p <= 0.01; 20 permutations give p >= 1/21"
+            )
+
+
 class TestSetupCommand:
     def test_full_construction_report(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -342,6 +395,29 @@ class TestWatchCommand:
         assert results["windows"] == 2
         assert results["dropped"] == {}
 
+    def test_small_reference_model_falls_back_to_first_window(self, tmp_path, capsys):
+        reference = tmp_path / "ref.jsonl"
+        write_score_log(
+            score_records(bimodal_scores(3000, 1), model_id="m1") + score_records(central_scores(50, 2), model_id="m2"),
+            reference,
+        )
+        stream = tmp_path / "s.jsonl"
+        write_score_log(
+            score_records(bimodal_scores(1000, 3), model_id="m1") + score_records(bimodal_scores(1000, 4), model_id="m2"),
+            stream,
+        )
+        report_path = tmp_path / "r.json"
+        argv = ["watch", "--input", str(stream), "--once", "--output", str(report_path)]
+        code, out, _ = run(argv + ["--reference", str(reference)], capsys)
+        assert code == 0
+        results = json.loads(report_path.read_text(encoding="utf-8"))["results"]
+        assert results["skipped_references"] == {"m2": "need at least 100 samples, got 50"}
+        assert results["windows"] == 2
+        # m2's healthy window is compared with itself: no alert
+        assert [line for line in out.splitlines() if '"m2"' in line] == []
+        run(argv + ["--reference", str(stream)], capsys)
+        assert "skipped_references" not in json.loads(report_path.read_text(encoding="utf-8"))["results"]
+
     def test_monitor_reference_is_not_a_config_key(self, tmp_path, capsys):
         stream = write_log(tmp_path / "s.jsonl", bimodal_scores(200, 5))
         config = tmp_path / "config.json"
@@ -387,6 +463,42 @@ def test_watch_counts_the_lines_read_score_log_skips(data, valid, bad, blank):
         assert main(["watch", "--input", str(log), "--once", "--output", str(report)]) == 0
         results = json.loads(report.read_text(encoding="utf-8"))["results"]
         assert results["malformed_lines"] == read_score_log(log).skipped == len(bad)
+
+
+@pytest.mark.parametrize(
+    "command, section, code, message",
+    [
+        ("rdc", {"diagnosis": {"window": "5"}}, 2, "error: diagnosis window must be an integer, got '5'"),
+        ("rdc", {"diagnosis": {"min_samples": 100.0}}, 2, "error: diagnosis min_samples must be an integer, got 100.0"),
+        ("bias", {"bias_cutoffs": {"severe_auc": "x"}}, 2, "error: bias_cutoffs severe_auc must be a number, got 'x'"),
+        ("bias", {"logistic": {"learning_rate": True}}, 2, "error: logistic learning_rate must be a number, got True"),
+        ("watch", {"monitor": {"window_size": "abc"}}, 2, "error: monitor window_size must be an integer, got 'abc'"),
+        ("watch", {"monitor": {"diagnosis": {}}}, 1, "error: config section 'monitor' has unknown keys: diagnosis"),
+        ("watch", {"monitor": {"bins": 50}}, 1, "error: config section 'monitor' has unknown keys: bins"),
+        ("watch", {"monitor": {"tv_threshold": 1}}, 0, ""),
+    ],
+)
+def test_config_value_of_the_wrong_type_is_an_error_line(tmp_path, capsys, command, section, code, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(section), encoding="utf-8")
+    if command == "bias":
+        x, has = median_split_availability(200, seed=0)
+        rows = [f"{a:.6f},{b:.6f},{h}" for (a, b), h in zip(x, has)]
+        argv = ["bias", "--input", write_csv(tmp_path / "t.csv", "f1,f2,avail", rows), "--availability-column", "avail"]
+        argv += ["--permutations", "5"]
+    else:
+        argv = [command, "--input", write_log(tmp_path / "s.jsonl", bimodal_scores(1000, 0))]
+        argv += ["--once"] if command == "watch" else []
+    got, _, err = run(argv + ["--config", str(config), "--output", str(tmp_path / "r.json")], capsys)
+    assert (got, err.strip()) == (code, message)
+
+
+@pytest.mark.parametrize("command", ["rdc", "watch"])
+def test_zero_bins_exits_two(bimodal_log, capsys, command):
+    argv = [command, "--input", bimodal_log, "--bins", "0"] + (["--once"] if command == "watch" else [])
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == "error: bin_count must be >= 2\n"
 
 
 class TestReportEnvelope:

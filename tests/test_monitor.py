@@ -1,11 +1,13 @@
 """Windowing, drift alerts, and output overrides."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import bimodal_scores, score_records, spike_scores
+from generators import bimodal_scores, central_scores, score_records, spike_scores
 from scorescope.errors import PreconditionError
 from scorescope.ingest import ScoreRecord, write_score_log
 from scorescope.monitor import (
@@ -18,7 +20,7 @@ from scorescope.monitor import (
     watch,
     windowed_rdcs,
 )
-from scorescope.rdc import Rdc, RdcPattern, build_rdc, diagnose, rdc_distance
+from scorescope.rdc import DiagnosisConfig, Rdc, RdcPattern, build_rdc, diagnose, rdc_distance
 
 
 class TestWindowing:
@@ -31,6 +33,13 @@ class TestWindowing:
             (2, True, 500),
         ]
         assert dropped == {}
+
+    def test_bins_come_from_the_diagnosis_config(self):
+        assert "bins" not in {f.name for f in fields(MonitorConfig)}
+        config = MonitorConfig(window_size=1000, diagnosis=DiagnosisConfig(bins=50))
+        assert config.bins == 50
+        results, _ = windowed_rdcs(score_records(bimodal_scores(1000, 0)), config)
+        assert results[0].rdc.bin_count == 50
 
     def test_small_remainder_dropped_and_counted(self):
         records = score_records(np.random.default_rng(1).random(1050))
@@ -137,6 +146,20 @@ class TestWatch:
         assert alerts[1].detail == {"prior": "EXTREME_SPIKE", "current": "HEALTHY_BIMODAL"}
         assert summary.windows == 2 and summary.alert_count == 3
         assert summary.alerts == {"PATHOLOGY": 1, "PATTERN_CHANGE": 1, "DRIFT": 1}
+
+    def test_too_small_reference_falls_back_to_the_first_window(self, tmp_path):
+        reference = tmp_path / "ref.jsonl"
+        write_score_log(score_records(central_scores(50, 3)), reference)
+        path = tmp_path / "log.jsonl"
+        write_score_log(score_records(np.concatenate([spike_scores(1000, 1), bimodal_scores(1000, 2)])), path)
+        alerts = []
+        summary = watch(path, MonitorConfig(window_size=1000), alerts.append, reference=reference)
+        assert summary.skipped_references == {"m1": "need at least 100 samples, got 50"}
+        assert [(a.window_index, a.kind) for a in alerts] == [
+            (0, AlertKind.PATHOLOGY),
+            (1, AlertKind.PATTERN_CHANGE),
+            (1, AlertKind.DRIFT),
+        ]
 
 
 def _dummy_diag():

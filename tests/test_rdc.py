@@ -15,8 +15,10 @@ from scorescope.rdc import (
     Rdc,
     RdcPattern,
     build_rdc,
+    charts_by,
     detect_modes,
     diagnose,
+    diagnose_or_skip,
     log_view,
     one_vs_rest,
     rdc_distance,
@@ -253,6 +255,27 @@ class TestOneVsRest:
     def test_missing_class_label(self):
         with pytest.raises(PreconditionError, match="class label"):
             one_vs_rest(score_records([0.5, 0.6]))
+
+    def test_charts_by_model_in_key_order(self):
+        records = score_records(np.full(100, 0.5), model_id="b") + score_records(np.full(30, 0.2), model_id="a")
+        charts = charts_by(records, "model_id", 10)
+        assert list(charts) == ["a", "b"]
+        assert (charts["a"].n, charts["b"].n) == (30, 100)
+        assert charts["a"].bin_count == charts["b"].bin_count == 10
+
+
+class TestDiagnoseOrSkip:
+    def test_too_small_chart_gives_the_reason(self):
+        assert diagnose_or_skip(build_rdc(np.full(50, 0.5))) == "need at least 100 samples, got 50"
+        assert diagnose_or_skip(build_rdc(np.full(50, 0.5)), DiagnosisConfig(min_samples=50)).pattern is not None
+
+    def test_large_enough_chart_is_diagnosed(self):
+        rdc = build_rdc(bimodal_scores(1000, 0))
+        assert diagnose_or_skip(rdc) == diagnose(rdc)
+
+    def test_other_precondition_errors_still_raise(self):
+        with pytest.raises(PreconditionError, match="window"):
+            diagnose_or_skip(build_rdc(bimodal_scores(1000, 0), 3), DiagnosisConfig(window=5))
 
 
 class TestDistance:
