@@ -61,7 +61,7 @@ class LogisticModel:
         return z @ self.weights + self.bias
 
     def predict_proba(self, features) -> np.ndarray:
-        return _sigmoid(self.decision_values(features))
+        return 0.5 + 0.5 * np.tanh(self.decision_values(features) / 2)
 
 
 @dataclass(frozen=True)
@@ -108,15 +108,6 @@ class MajorityBaseline:
     def predict_proba(self, features) -> np.ndarray:
         n = np.asarray(features).shape[0]
         return np.full(n, 1.0 if self.positive_rate >= 0.5 else 0.0)
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 @dataclass(frozen=True)
@@ -237,17 +228,19 @@ def _fit_logistic(xb: np.ndarray, ys: np.ndarray, logistic: LogisticConfig, work
         with ThreadPoolExecutor(max_workers=workers) as pool:
             fits = [pool.submit(_fit_logistic, xb, np.ascontiguousarray(ys[:, c]), logistic) for c in chunks]
             return np.hstack([fit.result() for fit in fits])
+    # with sigmoid(t) = 1/2 + tanh(t/2)/2 the gradient xb.T @ (sigmoid(xb @ w) - ys)
+    # is half.T @ tanh(half @ w) + xb.T @ (1/2 - ys), whose second term is fixed
     w = np.zeros((xb.shape[1], ys.shape[1]), dtype=xb.dtype)
     z = np.empty((xb.shape[0], ys.shape[1]), dtype=xb.dtype)
+    half = xb * 0.5  # exact for normal floats: halving only lowers the exponent
+    const = xb.T @ np.subtract(0.5, ys, out=z)  # z is free until the loop
     step = xb.dtype.type(logistic.learning_rate / xb.shape[0])
     for _ in range(logistic.epochs):
-        np.matmul(xb, w, out=z)
-        np.negative(z, out=z)
-        np.exp(z, out=z)
-        z += 1
-        np.reciprocal(z, out=z)  # z = sigmoid(xb @ w)
-        z -= ys
-        w -= step * (xb.T @ z)
+        np.matmul(half, w, out=z)
+        np.tanh(z, out=z)
+        g = half.T @ z
+        g += const
+        w -= step * g
     return w
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -140,7 +141,10 @@ def read_log_lines(path: str | Path, *, follow: bool = False, poll_interval: flo
     Without ``follow`` the file is read once to its end. With ``follow`` the
     reader never ends: it holds back an incomplete trailing line until the
     writer finishes it with a newline, and at end of file it sleeps
-    ``poll_interval`` seconds before looking again.
+    ``poll_interval`` seconds before looking again. A file found shorter
+    than the read offset at end of file was truncated: the held-back line
+    is dropped and reading starts again from the top. A file truncated and
+    refilled past the offset between two looks is not noticed.
     """
     try:
         with open(path, "rb") as fh:
@@ -153,6 +157,9 @@ def read_log_lines(path: str | Path, *, follow: bool = False, poll_interval: flo
                 if raw.endswith(b"\n"):
                     yield pending + raw
                     pending = b""
+                elif os.fstat(fh.fileno()).st_size < fh.tell():
+                    pending = b""
+                    fh.seek(0)
                 else:
                     pending += raw
                     time.sleep(poll_interval)

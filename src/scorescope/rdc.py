@@ -279,6 +279,15 @@ class DiagnosisConfig:
     band_tolerance: float = 0.10  # band accepts heights up to (1 + this) * valley min
     second_mode_mass: float = 0.10  # mass that lets a second mode veto the spike rule
 
+    def __post_init__(self) -> None:
+        # checked here, not first when a chart is built, so a run that charts nothing still rejects them
+        if self.bins < 2:
+            raise PreconditionError("bin_count must be >= 2")
+        if self.window < 1 or self.window % 2 == 0:
+            raise PreconditionError(f"diagnosis window must be an odd integer >= 1, got {self.window}")
+        if self.min_samples < 1:
+            raise PreconditionError(f"diagnosis min_samples must be >= 1, got {self.min_samples}")
+
 
 DEFAULT_DIAGNOSIS = DiagnosisConfig()
 

@@ -465,6 +465,28 @@ def test_watch_counts_the_lines_read_score_log_skips(data, valid, bad, blank):
         assert results["malformed_lines"] == read_score_log(log).skipped == len(bad)
 
 
+_OUT_OF_RANGE_LINES = st.builds(
+    lambda ts, score: json.dumps({"model_id": "m1", "ts": ts, "score": score}).encode(),
+    st.integers(0, 10**6),
+    st.floats(-1e6, -1e-9) | st.floats(1 + 1e-9, 1e6),
+)
+
+
+@given(st.data(), st.lists(_VALID_LINES, max_size=250), st.lists(_OUT_OF_RANGE_LINES, max_size=60))
+@settings(max_examples=40, deadline=None)
+def test_watch_counts_each_out_of_range_score_once(data, valid, out_of_range):
+    lines = data.draw(st.permutations(valid + out_of_range))
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "log.jsonl"
+        log.write_bytes(b"".join(line + b"\n" for line in lines))
+        report = Path(tmp) / "watch.json"
+        assert main(["watch", "--input", str(log), "--once", "--window", "100", "--output", str(report)]) == 0
+        results = json.loads(report.read_text(encoding="utf-8"))["results"]
+    assert results["malformed_lines"] == len(out_of_range)
+    per_model = [sum(json.loads(line)["model_id"] == m for line in valid) for m in ("m1", "m2")]
+    assert results["windows"] == sum(n // 100 for n in per_model)  # no out-of-range score entered a window
+
+
 @pytest.mark.parametrize(
     "command, section, code, message",
     [
@@ -499,6 +521,23 @@ def test_zero_bins_exits_two(bimodal_log, capsys, command):
     code, out, err = run(argv, capsys)
     assert code == 2 and out == ""
     assert err == "error: bin_count must be >= 2\n"
+
+
+@pytest.mark.parametrize(
+    "bins, diagnosis, message",
+    [
+        (1, {}, "bin_count must be >= 2"),
+        (100, {"min_samples": -5}, "diagnosis min_samples must be >= 1, got -5"),
+        (100, {"window": 0}, "diagnosis window must be an odd integer >= 1, got 0"),
+        (100, {"window": 4}, "diagnosis window must be an odd integer >= 1, got 4"),
+    ],
+)
+def test_diagnosis_config_is_checked_when_no_window_completes(tmp_path, capsys, bins, diagnosis, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"diagnosis": diagnosis}), encoding="utf-8")
+    stream = write_log(tmp_path / "s.jsonl", bimodal_scores(50, 0))  # under one window: nothing is charted
+    argv = ["watch", "--input", stream, "--once", "--bins", str(bins), "--config", str(config)]
+    assert run(argv, capsys) == (2, "", f"error: {message}\n")
 
 
 class TestReportEnvelope:

@@ -12,10 +12,14 @@ from generators import (
     separable_dataset,
 )
 from scorescope.construction import (
+    DEFAULT_LOGISTIC,
     BiasSeverity,
     LogisticConfig,
     MajorityBaseline,
     RandomBaseline,
+    _fit_logistic,
+    _standardize,
+    _with_ones,
     auc,
     bias_severity,
     class_balance,
@@ -129,6 +133,37 @@ class TestLogistic:
         ds = null_dataset(80, seed=5)
         m1, m2 = train_logistic(ds), train_logistic(ds)
         assert np.array_equal(m1.weights, m2.weights) and m1.bias == m2.bias
+
+
+def _reference_fit(xb, ys, logistic):
+    """Gradient descent on log loss with the sigmoid written as 1 / (1 + exp(-t))."""
+    w = np.zeros((xb.shape[1], ys.shape[1]), dtype=xb.dtype)
+    step = xb.dtype.type(logistic.learning_rate / xb.shape[0])
+    for _ in range(logistic.epochs):
+        p = np.reciprocal(1 + np.exp(-(xb @ w)))
+        w -= step * (xb.T @ (p - ys))
+    return w
+
+
+class TestEngineAgainstReference:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("make", [separable_dataset, null_dataset])
+    def test_float64_single_column(self, make, seed):
+        ds = make(200, seed=seed)
+        xb = _with_ones(_standardize(ds.rows)[0], np.float64)
+        ys = ds.target[:, None].astype(np.float64)
+        got = _fit_logistic(xb, ys, DEFAULT_LOGISTIC)
+        assert got.dtype == np.float64
+        assert np.abs(got - _reference_fit(xb, ys, DEFAULT_LOGISTIC)).max() <= 1e-12
+
+    def test_float32_permuted_label_batch(self):
+        x, has = median_split_availability(400, seed=0)  # the bias probe's batch: observed plus 200 shuffles
+        rng = np.random.default_rng(0)
+        ys = np.column_stack([has] + [rng.permutation(has) for _ in range(200)]).astype(np.float32)
+        xb = _with_ones(_standardize(x)[0], np.float32)
+        got = _fit_logistic(xb, ys, DEFAULT_LOGISTIC)
+        assert got.dtype == np.float32 and got.shape == (3, 201)
+        assert np.abs(got - _reference_fit(xb, ys, DEFAULT_LOGISTIC)).max() <= 1e-5
 
 
 class TestStump:

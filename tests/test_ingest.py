@@ -124,6 +124,31 @@ class TestFollow:
         assert not writer.is_alive()
         lines.close()
 
+    def test_truncated_log_is_reread_from_the_top(self, tmp_path):
+        path = tmp_path / "live.jsonl"
+        path.write_bytes(b"old 1\nold 2\nhalf")
+        lines = read_log_lines(path, follow=True, poll_interval=0.01)
+        assert [next(lines), next(lines)] == [b"old 1\n", b"old 2\n"]
+
+        def truncate_then_append():
+            time.sleep(0.2)
+            with path.open("r+b") as fh:
+                fh.truncate(0)
+            with path.open("ab") as fh:
+                fh.write(b"new 1\nnew 2\n")  # shorter than the old read offset
+
+        got = []
+        # the reader runs in its own thread so that a reader stuck past the end cannot hang the test
+        reader = threading.Thread(target=lambda: got.extend([next(lines), next(lines)]), daemon=True)
+        writer = threading.Thread(target=truncate_then_append)
+        reader.start()
+        writer.start()
+        writer.join(timeout=5)
+        reader.join(timeout=5)
+        assert not writer.is_alive() and not reader.is_alive()
+        assert got == [b"new 1\n", b"new 2\n"]  # the held-back "half" is dropped
+        lines.close()
+
 
 class TestPaired:
     def test_basic_row(self, tmp_path):
