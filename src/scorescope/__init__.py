@@ -77,6 +77,5 @@ from .rdc import (
     log_view,
     one_vs_rest,
     rdc_distance,
-    recommend_threshold,
     smooth,
 )

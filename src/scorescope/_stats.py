@@ -14,17 +14,11 @@ def z_quantile(p: float) -> float:
     return _STD_NORMAL.inv_cdf(p)
 
 
-def normal_cdf(x: float) -> float:
-    return _STD_NORMAL.cdf(x)
-
-
 @dataclass(frozen=True)
 class ZTestResult:
     """Two-proportion comparison: pooled z decision, unpooled normal CI."""
 
     effect: float
-    z: float
-    p_value: float
     reject: bool
     ci_low: float
     ci_high: float
@@ -46,7 +40,7 @@ def two_proportion_ztest(
     the null is not rejected and the interval collapses to the point estimate.
     """
     if n_a <= 0 or n_b <= 0:
-        return ZTestResult(0.0, 0.0, 1.0, False, 0.0, 0.0, True)
+        return ZTestResult(0.0, False, 0.0, 0.0, True)
     p_a = successes_a / n_a
     p_b = successes_b / n_b
     effect = p_b - p_a
@@ -55,8 +49,7 @@ def two_proportion_ztest(
     var_unpooled = p_a * (1.0 - p_a) / n_a + p_b * (1.0 - p_b) / n_b
     z_crit = z_quantile(1.0 - alpha / 2.0)
     if var_pooled <= 0.0 or var_unpooled <= 0.0:
-        return ZTestResult(effect, 0.0, 1.0, False, effect, effect, True)
+        return ZTestResult(effect, False, effect, effect, True)
     z = effect / math.sqrt(var_pooled)
-    p_value = 2.0 * (1.0 - normal_cdf(abs(z)))
     half = z_crit * math.sqrt(var_unpooled)
-    return ZTestResult(effect, z, p_value, abs(z) >= z_crit, effect - half, effect + half, False)
+    return ZTestResult(effect, abs(z) >= z_crit, effect - half, effect + half, False)

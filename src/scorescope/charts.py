@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rdc import Rdc, ThresholdBand
+from .rdc import Rdc, ThresholdBand, log_view
 
 WIDTH = 800
 HEIGHT = 400
@@ -76,7 +76,7 @@ def rdc_chart(
     each panel).
     """
     counts = rdc.counts.astype(np.float64)
-    log_counts = np.log1p(counts)
+    log_counts = log_view(rdc)
     left = _Panel(50, 40, 390, 360, 1.0, float(counts.max()))
     right = _Panel(450, 40, 790, 360, 1.0, float(log_counts.max()))
     body: list[str] = []

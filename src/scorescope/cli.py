@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, is_dataclass, replace
 from enum import Enum
@@ -48,6 +49,8 @@ EXIT_INPUT = 1
 EXIT_PRECONDITION = 2
 EXIT_STRICT = 3
 
+MAX_GRID_POINTS = 10_001
+
 
 def _jsonable(obj):
     if is_dataclass(obj) and not isinstance(obj, type):
@@ -70,11 +73,14 @@ def _jsonable(obj):
 
 
 def _digest(path: Path) -> dict:
+    sha = hashlib.sha256()
     try:
-        data = path.read_bytes()
+        with path.open("rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                sha.update(chunk)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    return {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
+    return {"path": str(path), "sha256": sha.hexdigest()}
 
 
 def _envelope(command: str, inputs: dict, results: dict, decisions: dict) -> dict:
@@ -126,6 +132,8 @@ def _apply_section(instance, section: str, overrides: dict):
         number = isinstance(settable[key], float)
         if isinstance(value, bool) or not isinstance(value, (int, float) if number else int):
             raise PreconditionError(f"{section} {key} must be {'a number' if number else 'an integer'}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):  # json.loads accepts NaN and Infinity
+            raise PreconditionError(f"{section} {key} must be a finite number, got {value!r}")
     return replace(instance, **data) if data else instance
 
 
@@ -184,12 +192,16 @@ def cmd_rdc(args):
 
     if args.svg:
         svg_path = Path(args.svg)
-        if len(by_model) == 1:
-            svg_path.write_text(next(iter(charts.values())), encoding="utf-8")
-        else:
-            for model_id, chart in charts.items():
+        targets: dict[Path, str] = {}
+        for model_id in charts:
+            target = svg_path
+            if len(by_model) > 1:
                 target = svg_path.with_name(f"{svg_path.stem}_{_safe_name(model_id)}{svg_path.suffix}")
-                target.write_text(chart, encoding="utf-8")
+            if target in targets:
+                raise PreconditionError(f"models {targets[target]!r} and {model_id!r} both chart to {target}")
+            targets[target] = model_id
+        for target, model_id in targets.items():
+            target.write_text(charts[model_id], encoding="utf-8")
 
     code = EXIT_STRICT if args.strict and unhealthy else EXIT_OK
     if unhealthy:
@@ -288,11 +300,15 @@ def _parse_grid(raw: str) -> list[float]:
         lo, hi, step = (float(v) for v in raw.split(":"))
     except ValueError as exc:
         raise InputError(f"grid must be lo:hi:step, got {raw!r}") from exc
-    if step <= 0 or hi < lo:
-        raise InputError(f"grid must ascend with positive step, got {raw!r}")
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
+        raise InputError(f"grid must be finite and ascend with positive step, got {raw!r}")
+    if lo < 0 or hi > 1:
+        raise PreconditionError(f"grid must lie in [0, 1], got {raw!r}")
     out = []
     v = lo
     while v <= hi + 1e-9:
+        if len(out) == MAX_GRID_POINTS:  # also ends a step too small to move v
+            raise PreconditionError(f"grid has more than {MAX_GRID_POINTS} points, got {raw!r}")
         out.append(round(v, 12))
         v += step
     return out
@@ -443,8 +459,12 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", "-o", default=None, help="write the JSON report here instead of stdout")
     common.add_argument("--seed", type=int, default=0, help="seed for any randomized step")
-    common.add_argument("--config", default=None, help="JSON file overriding threshold defaults")
-    common.add_argument("--strict", action="store_true", help="exit 3 when a finding fires")
+
+    # only the commands whose handlers read them take these two
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", default=None, help="JSON file overriding threshold defaults")
+    strict = argparse.ArgumentParser(add_help=False)
+    strict.add_argument("--strict", action="store_true", help="exit 3 when a finding fires")
 
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--impute", action="store_true", help="mean-impute missing feature cells")
@@ -454,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
-    p = sub.add_parser("rdc", parents=[common], formatter_class=fmt, help="chart and diagnose a score log")
+    p = sub.add_parser("rdc", parents=[common, config, strict], formatter_class=fmt,
+                       help="chart and diagnose a score log")
     p.add_argument("--input", "-i", required=True, help="line-delimited score log")
     p.add_argument("--model", default=None, help="restrict to one model id")
     p.add_argument("--per-class", action="store_true", help="one-vs-rest chart per class label")
@@ -463,12 +484,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", default=None, help="write an SVG chart here")
     p.set_defaults(handler=cmd_rdc)
 
-    p = sub.add_parser("bias", parents=[common, probe], formatter_class=fmt, help="selection-bias severity probe")
+    p = sub.add_parser("bias", parents=[common, config, strict, probe], formatter_class=fmt,
+                       help="selection-bias severity probe")
     p.add_argument("--input", "-i", required=True, help="tabular CSV")
     p.add_argument("--availability-column", required=True, help="binary column: 1 when a label can be computed")
     p.set_defaults(handler=cmd_bias)
 
-    p = sub.add_parser("setup", parents=[common, probe], formatter_class=fmt, help="score a problem construction")
+    p = sub.add_parser("setup", parents=[common, config, probe], formatter_class=fmt,
+                       help="score a problem construction")
     p.add_argument("--input", "-i", required=True, help="tabular CSV")
     p.add_argument("--target", required=True, help="binary target column")
     p.add_argument("--availability-column", default=None, help="also run the bias probe on this flag column")
@@ -510,7 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05, help="CI significance level")
     p.set_defaults(handler=cmd_blocked_analyze)
 
-    p = sub.add_parser("watch", parents=[common], formatter_class=fmt, help="tail a score log and alert")
+    p = sub.add_parser("watch", parents=[common, config, strict], formatter_class=fmt,
+                       help="tail a score log and alert")
     p.add_argument("--input", "-i", required=True, help="score log to tail")
     p.add_argument("--reference", default=None, help="score log providing per-model reference charts")
     p.add_argument("--window", type=int, default=1000, help="records per tumbling window")

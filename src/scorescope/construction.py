@@ -53,8 +53,6 @@ class LogisticModel:
     feature_stds: np.ndarray
     kept: np.ndarray  # boolean mask over the original feature columns
 
-    kind = "logistic"
-
     def decision_values(self, features) -> np.ndarray:
         x = np.asarray(features, dtype=np.float64)[:, self.kept]
         z = (x - self.feature_means) / self.feature_stds
@@ -72,25 +70,9 @@ class DecisionStump:
     threshold: float
     polarity: int  # +1 or -1
 
-    kind = "stump"
-
     def predict_proba(self, features) -> np.ndarray:
         x = np.asarray(features, dtype=np.float64)[:, self.feature]
         return (self.polarity * x > self.polarity * self.threshold).astype(np.float64)
-
-
-@dataclass(frozen=True)
-class RandomBaseline:
-    """Seeded uniform scores; the random trivial baseline."""
-
-    positive_rate: float
-    seed: int = 0
-
-    kind = "random_baseline"
-
-    def predict_proba(self, features) -> np.ndarray:
-        n = np.asarray(features).shape[0]
-        return np.random.default_rng(self.seed).random(n)
 
 
 @dataclass(frozen=True)
@@ -99,15 +81,9 @@ class MajorityBaseline:
 
     positive_rate: float
 
-    kind = "majority_baseline"
-
     @property
     def accuracy(self) -> float:
         return max(self.positive_rate, 1.0 - self.positive_rate)
-
-    def predict_proba(self, features) -> np.ndarray:
-        n = np.asarray(features).shape[0]
-        return np.full(n, 1.0 if self.positive_rate >= 0.5 else 0.0)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ score for matching records to stage scenarios end to end.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -240,6 +241,8 @@ def watch(
     are counted and skipped. ``on_alert`` sees each alert as its window
     completes. With ``follow`` the log is tailed and the call never returns.
     """
+    if not 0.0 < poll_interval < math.inf:
+        raise PreconditionError(f"poll_interval must be a finite number > 0, got {poll_interval!r}")
     summary = WatchSummary()
     references: dict[str, tuple[Rdc, RdcDiagnosis]] = {}
     reference_records = read_score_log(reference).records if reference else ()

@@ -11,9 +11,8 @@ with the measurements that triggered the call.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -140,20 +139,8 @@ class Mode:
 
 
 @dataclass(frozen=True)
-class Valley:
-    """The region between two adjacent retained modes."""
-
-    left_mode: int  # bin index of the mode to the left
-    right_mode: int
-    interval: tuple[float, float]  # score interval strictly between the modes
-    min_height: float
-    depth: float  # min(adjacent mode heights) - min_height
-
-
-@dataclass(frozen=True)
 class ModeSet:
     modes: tuple[Mode, ...]
-    valleys: tuple[Valley, ...]
 
 
 def _plateau_maxima(h: np.ndarray) -> list[int]:
@@ -197,7 +184,7 @@ def _prominence(h: np.ndarray, peak: int) -> float:
 
 
 def detect_modes(smoothed: SmoothedRdc, prominence_min: float = 0.10) -> ModeSet:
-    """Find modes of the smoothed heights and the valleys between them.
+    """Find the modes of the smoothed heights.
 
     A local maximum is kept when its prominence is at least
     ``prominence_min`` times the tallest height. Each retained mode owns the
@@ -205,7 +192,6 @@ def detect_modes(smoothed: SmoothedRdc, prominence_min: float = 0.10) -> ModeSet
     neighbors; the basin mass is what ``diagnose`` ranks modes by.
     """
     h = smoothed.heights
-    edges = smoothed.base.edges
     centers = smoothed.base.centers
     cutoff = prominence_min * float(h.max())
 
@@ -227,22 +213,7 @@ def detect_modes(smoothed: SmoothedRdc, prominence_min: float = 0.10) -> ModeSet
         end = len(h) - 1 if idx == len(peaks) - 1 else bounds[idx]
         mass = float(h[start : end + 1].sum())
         modes.append(Mode(p, float(centers[p]), float(h[p]), prom, mass, (start, end)))
-
-    valleys: list[Valley] = []
-    for left, right in zip(modes, modes[1:]):
-        a, b = left.bin_index, right.bin_index
-        gap = h[a + 1 : b]
-        vmin = float(gap.min())
-        valleys.append(
-            Valley(
-                left_mode=a,
-                right_mode=b,
-                interval=(float(edges[a + 1]), float(edges[b])),
-                min_height=vmin,
-                depth=min(left.height, right.height) - vmin,
-            )
-        )
-    return ModeSet(tuple(modes), tuple(valleys))
+    return ModeSet(tuple(modes))
 
 
 @dataclass(frozen=True)
@@ -309,13 +280,13 @@ def _mode_summary(mode: Mode) -> dict:
     }
 
 
-def _band_between(smoothed: SmoothedRdc, left: Mode, right: Mode, tolerance: float) -> ThresholdBand:
-    h = smoothed.heights
-    edges = smoothed.base.edges
-    a, b = left.bin_index, right.bin_index
-    gap = h[a + 1 : b]
-    vmin = float(gap.min())
-    cutoff = (1.0 + tolerance) * vmin
+def _valley_band(edges: np.ndarray, start: int, gap: np.ndarray, tolerance: float) -> ThresholdBand:
+    """Threshold band in the valley ``gap``, the smoothed heights of bins ``start`` onward.
+
+    The band is the maximal contiguous run of valley bins whose heights stay
+    within ``tolerance`` of the valley minimum, anchored at the minimum itself.
+    """
+    cutoff = (1.0 + tolerance) * float(gap.min())
     anchor = int(np.argmin(gap))  # leftmost minimum
     lo = anchor
     while lo > 0 and gap[lo - 1] <= cutoff:
@@ -323,23 +294,9 @@ def _band_between(smoothed: SmoothedRdc, left: Mode, right: Mode, tolerance: flo
     hi = anchor
     while hi + 1 < len(gap) and gap[hi + 1] <= cutoff:
         hi += 1
-    lower = float(edges[a + 1 + lo])
-    upper = float(edges[a + 1 + hi + 1])
+    lower = float(edges[start + lo])
+    upper = float(edges[start + hi + 1])
     return ThresholdBand(lower, upper, (lower + upper) / 2.0)
-
-
-def recommend_threshold(
-    smoothed: SmoothedRdc, modes: ModeSet, band_tolerance: float = 0.10
-) -> ThresholdBand:
-    """Threshold band for a two-mode chart.
-
-    The band is the maximal contiguous run of bins between the modes whose
-    heights stay within ``band_tolerance`` of the valley minimum, anchored
-    at the minimum itself.
-    """
-    if len(modes.modes) != 2:
-        raise PreconditionError(f"threshold recommendation needs exactly 2 modes, got {len(modes.modes)}")
-    return _band_between(smoothed, modes.modes[0], modes.modes[1], band_tolerance)
 
 
 def diagnose(rdc: Rdc, config: DiagnosisConfig = DEFAULT_DIAGNOSIS) -> RdcDiagnosis:
@@ -386,7 +343,7 @@ def diagnose(rdc: Rdc, config: DiagnosisConfig = DEFAULT_DIAGNOSIS) -> RdcDiagno
                 _mode_summary(m) for m in modes.modes if m not in (left, right)
             ]
         if depth >= config.valley_depth_floor * min(left.height, right.height):
-            band = _band_between(smoothed, left, right, config.band_tolerance)
+            band = _valley_band(rdc.edges, left.bin_index + 1, gap, config.band_tolerance)
             return RdcDiagnosis(RdcPattern.HEALTHY_BIMODAL, evidence, band)
 
     if spike_share >= config.spike_share:

@@ -106,6 +106,17 @@ class TestRdcCommand:
         assert root.tag.endswith("svg")
         assert root.attrib["width"] == "800" and root.attrib["height"] == "400"
 
+    def test_svg_names_that_collide_exit_two_before_writing(self, tmp_path, capsys):
+        records = score_records(bimodal_scores(2000, 1), model_id="m/1") + score_records(
+            bimodal_scores(2000, 2), model_id="m_1"
+        )
+        path = tmp_path / "two.jsonl"
+        write_score_log(records, path)
+        code, out, err = run(["rdc", "--input", str(path), "--svg", str(tmp_path / "out.svg")], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: models 'm/1' and 'm_1' both chart to {tmp_path / 'out_m_1.svg'}\n"
+        assert not list(tmp_path.glob("*.svg"))
+
     def test_per_class_reports(self, tmp_path, capsys):
         records = score_records(bimodal_scores(1000, 1), class_label="a") + score_records(
             bimodal_scores(1000, 2), class_label="b"
@@ -177,6 +188,29 @@ class TestCurveCommand:
     def test_bad_grid_exits_one(self, capsys):
         code, _, err = run(["curve", "--baseline", "0.8", "--grid", "nope"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "grid, code",
+        [
+            ("0.8:inf:0.1", 1),
+            ("nan:1.0:0.1", 1),
+            ("0.8:1.0:nan", 1),
+            ("0.8:1.0:-inf", 1),
+            ("-0.1:1.0:0.1", 2),
+            ("0.8:1.5:0.1", 2),
+            ("0.5:0.5:1e-300", 2),  # the step cannot move 0.5: the loop would never end
+            ("0.8:1.0:1e-5", 2),  # 20 001 points
+        ],
+    )
+    def test_grid_that_would_not_end_or_leaves_the_unit_interval_is_rejected(self, capsys, grid, code):
+        got, out, err = run(["curve", "--baseline", "0.0", f"--grid={grid}"], capsys)
+        assert (got, out) == (code, "")
+        assert err.startswith("error: grid ") and grid in err
+
+    def test_grid_of_the_largest_size_is_accepted(self, capsys):
+        code, out, _ = run(["curve", "--baseline", "0.0", "--grid", "0:1:0.0001"], capsys)
+        assert code == 0
+        assert len(json.loads(out)["results"]["series"]) == 10_001
 
 
 class TestDisagreeCommand:
@@ -418,6 +452,13 @@ class TestWatchCommand:
         run(argv + ["--reference", str(stream)], capsys)
         assert "skipped_references" not in json.loads(report_path.read_text(encoding="utf-8"))["results"]
 
+    @pytest.mark.parametrize("interval", ["-1", "0", "nan", "inf"])
+    def test_poll_interval_must_be_finite_and_positive(self, tmp_path, capsys, interval):
+        stream = write_log(tmp_path / "s.jsonl", bimodal_scores(200, 5))
+        code, out, err = run(["watch", "--input", stream, "--poll-interval", interval], capsys)  # follow mode
+        assert (code, out) == (2, "")
+        assert err == f"error: poll_interval must be a finite number > 0, got {float(interval)!r}\n"
+
     def test_monitor_reference_is_not_a_config_key(self, tmp_path, capsys):
         stream = write_log(tmp_path / "s.jsonl", bimodal_scores(200, 5))
         config = tmp_path / "config.json"
@@ -498,6 +539,10 @@ def test_watch_counts_each_out_of_range_score_once(data, valid, out_of_range):
         ("watch", {"monitor": {"diagnosis": {}}}, 1, "error: config section 'monitor' has unknown keys: diagnosis"),
         ("watch", {"monitor": {"bins": 50}}, 1, "error: config section 'monitor' has unknown keys: bins"),
         ("watch", {"monitor": {"tv_threshold": 1}}, 0, ""),
+        ("bias", {"bias_cutoffs": {"severe_auc": float("nan")}}, 2,
+         "error: bias_cutoffs severe_auc must be a finite number, got nan"),
+        ("rdc", {"diagnosis": {"roughness_max": float("inf")}}, 2,
+         "error: diagnosis roughness_max must be a finite number, got inf"),
     ],
 )
 def test_config_value_of_the_wrong_type_is_an_error_line(tmp_path, capsys, command, section, code, message):
@@ -586,3 +631,32 @@ def test_power_defaults_match_convention(capsys):
         main(["power", "--help"])
     out = capsys.readouterr().out
     assert "0.05" in out and "0.8" in out
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        pytest.param(argv, flag, id=f"{' '.join(argv[:2] if argv[0] == 'blocked' else argv[:1])} {flag}")
+        for argv, flags in (
+            (["setup", "--input", "t.csv", "--target", "y"], ["--strict"]),
+            (["disagree", "--input", "p.csv"], ["--config", "--strict"]),
+            (["power", "--p-control", "0.1", "--mde", "0.02"], ["--config", "--strict"]),
+            (["curve", "--baseline", "0.8", "--grid", "0.8:1.0:0.1"], ["--config", "--strict"]),
+            (["blocked", "simulate", "--n-users", "300", "--base-cvr", "0.1"], ["--config", "--strict"]),
+            (["blocked", "analyze", "--input", "o.csv"], ["--config", "--strict"]),
+        )
+        for flag in flags
+    ],
+)
+def test_flag_a_command_does_not_read_is_refused(tmp_path, capsys, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    rows = [f"{i % 7},{(i * 3) % 5},{i % 2}" for i in range(200)]
+    write_csv(tmp_path / "t.csv", "a,b,y", rows)
+    write_csv(tmp_path / "p.csv", "entity_id,pred_a,pred_b", [f"e{i},{i % 2},{i % 3 % 2}" for i in range(20)])
+    outcomes = [f"{variant},{i % 2}" for i in range(10) for variant in ("base", "v1", "v2")]
+    write_csv(tmp_path / "o.csv", "variant,converted", outcomes)
+    extra = [flag, "missing.json"] if flag == "--config" else [flag]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + extra)
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err

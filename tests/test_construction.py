@@ -16,7 +16,6 @@ from scorescope.construction import (
     BiasSeverity,
     LogisticConfig,
     MajorityBaseline,
-    RandomBaseline,
     _fit_logistic,
     _standardize,
     _with_ones,
@@ -185,11 +184,6 @@ class TestBaselines:
     def test_majority_accuracy(self):
         assert MajorityBaseline(0.3).accuracy == 0.7
         assert MajorityBaseline(0.8).accuracy == 0.8
-
-    def test_random_baseline_seeded(self):
-        x = np.zeros((10, 1))
-        b = RandomBaseline(0.5, seed=3)
-        assert np.array_equal(b.predict_proba(x), b.predict_proba(x))
 
 
 class TestLearnability:

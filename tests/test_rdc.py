@@ -22,7 +22,6 @@ from scorescope.rdc import (
     log_view,
     one_vs_rest,
     rdc_distance,
-    recommend_threshold,
     smooth,
 )
 
@@ -120,16 +119,12 @@ class TestDetectModes:
         left, right = ms.modes
         assert 0.0 <= left.location <= 0.3
         assert 0.7 <= right.location <= 1.0
-        valley = ms.valleys[0]
-        assert valley.interval[0] < 0.5 < valley.interval[1]
-        assert valley.depth > 0
 
     def test_strictly_increasing_single_mode_at_last_bin(self):
         sm = smooth(Rdc.from_counts(list(range(1, 11))), window=1)
         ms = detect_modes(sm)
         assert len(ms.modes) == 1
         assert ms.modes[0].bin_index == 9
-        assert ms.valleys == ()
 
     def test_spike_on_flat_background(self):
         counts = np.ones(100, dtype=int)
@@ -203,21 +198,14 @@ class TestThresholdBand:
 
     def test_two_delta_spikes_band_spans_the_gap(self):
         scores = np.concatenate([np.full(500, 0.105), np.full(500, 0.905)])
-        sm = smooth(build_rdc(scores), window=5)
-        ms = detect_modes(sm)
-        assert [m.bin_index for m in ms.modes] == [10, 90]
-        band = recommend_threshold(sm, ms)
+        diag = diagnose(build_rdc(scores))
+        assert [m["bin_index"] for m in diag.evidence["modes"]] == [10, 90]
+        band = diag.threshold_band
         # smoothing spreads each spike over two neighbor bins; the zero-height
         # floor runs from bin 13 through bin 87
         assert band.lower == pytest.approx(0.13)
         assert band.upper == pytest.approx(0.88)
         assert band.recommended == pytest.approx(0.505)
-
-    def test_unimodal_input_is_rejected(self):
-        sm = smooth(build_rdc(central_scores(10_000, 3)), window=5)
-        ms = detect_modes(sm)
-        with pytest.raises(PreconditionError, match="exactly 2"):
-            recommend_threshold(sm, ms)
 
     def test_band_inside_open_mode_interval(self):
         for seed in range(5):
@@ -324,7 +312,7 @@ class TestInvariance:
         s1, s2 = smooth(r1), smooth(r2)
         assert np.array_equal(s1.heights, s2.heights) and s1.roughness == s2.roughness
         m1, m2 = detect_modes(s1), detect_modes(s2)
-        assert m1.modes == m2.modes and m1.valleys == m2.valleys
+        assert m1.modes == m2.modes
         d1, d2 = diagnose(r1), diagnose(r2)
         assert d1.pattern is d2.pattern and d1.evidence == d2.evidence
         assert d1.threshold_band == d2.threshold_band
