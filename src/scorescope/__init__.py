@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 from .blocked import (
     BlockedAnalysis,
     BlockedDesign,
-    BlockedOutcome,
     BlockedOutcomes,
     BlockedSimConfig,
     analyze_blocked,
@@ -45,7 +44,7 @@ from .experiments import (
     simulate_paired_experiment,
 )
 from .ingest import (
-    PairedPrediction,
+    PairedPredictions,
     ScoreRecord,
     TabularDataset,
     read_paired,
@@ -65,7 +64,6 @@ from .monitor import (
 )
 from .rdc import (
     DiagnosisConfig,
-    ModeSet,
     Rdc,
     RdcDiagnosis,
     RdcPattern,

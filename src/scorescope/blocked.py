@@ -13,7 +13,6 @@ import enum
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,14 +43,8 @@ class BlockedDesign:
             raise PreconditionError("allocation must sum to 1")
 
 
-@dataclass(frozen=True)
-class BlockedOutcome:
-    variant: Variant
-    converted: bool
-
-
-class BlockedOutcomes(Sequence):
-    """Columnar store of per-user outcomes; iterates as BlockedOutcome records."""
+class BlockedOutcomes:
+    """Per-user outcomes as two aligned columns: variant index and conversion flag."""
 
     def __init__(self, variants: np.ndarray, converted: np.ndarray):
         if variants.shape != converted.shape:
@@ -59,24 +52,8 @@ class BlockedOutcomes(Sequence):
         self._variants = variants.astype(np.uint8)
         self._converted = converted.astype(bool)
 
-    @classmethod
-    def from_records(cls, records: Iterable[BlockedOutcome]) -> "BlockedOutcomes":
-        records = list(records)
-        variants = np.array([_VARIANTS.index(r.variant) for r in records], dtype=np.uint8)
-        converted = np.array([r.converted for r in records], dtype=bool)
-        return cls(variants, converted)
-
     def __len__(self) -> int:
         return len(self._variants)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return BlockedOutcomes(self._variants[i], self._converted[i])
-        return BlockedOutcome(_VARIANTS[self._variants[i]], bool(self._converted[i]))
-
-    def __iter__(self) -> Iterator[BlockedOutcome]:
-        for v, c in zip(self._variants, self._converted):
-            yield BlockedOutcome(_VARIANTS[v], bool(c))
 
     def counts(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-variant (users, conversions) in (base, v1, v2) order."""
@@ -140,15 +117,12 @@ class BlockedAnalysis:
     alpha: float
 
 
-def analyze_blocked(outcomes, alpha: float = 0.05) -> BlockedAnalysis:
-    """Estimate the slowdown cost and the feature value from outcome records.
+def analyze_blocked(outcomes: BlockedOutcomes, alpha: float = 0.05) -> BlockedAnalysis:
+    """Estimate the slowdown cost and the feature value from per-user outcomes.
 
-    Accepts a BlockedOutcomes store or any iterable of BlockedOutcome.
-    Order of the records never matters. Every variant must have at least
-    one user.
+    Order of the users never matters. Every variant must have at least one
+    user.
     """
-    if not isinstance(outcomes, BlockedOutcomes):
-        outcomes = BlockedOutcomes.from_records(outcomes)
     if not 0.0 < alpha < 1.0:
         raise PreconditionError("alpha must lie strictly inside (0, 1)")
     users, conversions = outcomes.counts()
@@ -175,15 +149,14 @@ def analyze_blocked(outcomes, alpha: float = 0.05) -> BlockedAnalysis:
     )
 
 
-def write_blocked_csv(outcomes, path: str | Path) -> None:
+def write_blocked_csv(outcomes: BlockedOutcomes, path: str | Path) -> None:
     """Write outcomes as ``variant,converted`` rows."""
-    if not isinstance(outcomes, BlockedOutcomes):
-        outcomes = BlockedOutcomes.from_records(outcomes)
+    names = [v.value for v in _VARIANTS]
+    variants = map(names.__getitem__, outcomes._variants.tolist())
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "converted"])
-        for record in outcomes:
-            writer.writerow([record.variant.value, int(record.converted)])
+        writer.writerows(zip(variants, outcomes._converted.view(np.uint8).tolist()))
 
 
 def read_blocked_csv(path: str | Path) -> BlockedOutcomes:

@@ -428,6 +428,8 @@ def bias_severity(
         raise PreconditionError("need both labeled and unlabeled observations")
     if permutations < 1:
         raise PreconditionError("permutations must be >= 1")
+    if workers < 1:
+        raise PreconditionError("workers must be >= 1")
 
     rng = np.random.default_rng(seed)
     fold_idx = _fold_indices(n, folds, rng)  # consumes the first draw of the stream

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._stats import two_proportion_ztest, z_quantile
 from .errors import PreconditionError
-from .ingest import PairedPrediction
+from .ingest import PairedPredictions
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class DisagreementReport:
     accuracy_b: float | None = None
 
 
-def disagreement(pairs: Sequence[PairedPrediction], threshold: float = 0.5) -> DisagreementReport:
+def disagreement(pairs: PairedPredictions, threshold: float = 0.5) -> DisagreementReport:
     """Fraction of entities the two models would treat differently.
 
     Scores are binarized at ``threshold`` (applied to both sides); binary
@@ -41,21 +41,21 @@ def disagreement(pairs: Sequence[PairedPrediction], threshold: float = 0.5) -> D
         raise PreconditionError("no prediction pairs provided")
     if not 0.0 < threshold < 1.0:
         raise PreconditionError("threshold must lie strictly inside (0, 1)")
-    a = np.array([p.pred_a for p in pairs]) >= threshold
-    b = np.array([p.pred_b for p in pairs]) >= threshold
+    a = pairs.pred_a >= threshold
+    b = pairs.pred_b >= threshold
     n_disagree = int((a != b).sum())
-    labeled = [(i, p.true_label) for i, p in enumerate(pairs) if p.true_label is not None]
+    labeled = pairs.labels >= 0
+    n_labeled = int(labeled.sum())
     accuracy_a = accuracy_b = None
-    if labeled:
-        idx = np.array([i for i, _ in labeled])
-        y = np.array([lab for _, lab in labeled], dtype=bool)
-        accuracy_a = float((a[idx] == y).mean())
-        accuracy_b = float((b[idx] == y).mean())
+    if n_labeled:
+        y = pairs.labels[labeled] == 1
+        accuracy_a = float((a[labeled] == y).mean())
+        accuracy_b = float((b[labeled] == y).mean())
     return DisagreementReport(
         n_pairs=len(pairs),
         n_disagree=n_disagree,
         rate=n_disagree / len(pairs),
-        n_labeled=len(labeled),
+        n_labeled=n_labeled,
         accuracy_a=accuracy_a,
         accuracy_b=accuracy_b,
     )

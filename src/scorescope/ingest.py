@@ -42,13 +42,16 @@ class ScoreRecord:
 
 
 @dataclass(frozen=True)
-class PairedPrediction:
-    """One entity scored by two models, the unit of disagreement analysis."""
+class PairedPredictions:
+    """Entities scored by two models, as columns: the input of disagreement analysis."""
 
-    entity_id: str
-    pred_a: float
-    pred_b: float
-    true_label: int | None = None
+    entity_ids: list[str]
+    pred_a: np.ndarray  # (n,) float64
+    pred_b: np.ndarray  # (n,) float64
+    labels: np.ndarray  # (n,) int8: 0, 1, or -1 where unlabeled
+
+    def __len__(self) -> int:
+        return len(self.entity_ids)
 
 
 @dataclass(frozen=True)
@@ -141,30 +144,44 @@ def read_log_lines(path: str | Path, *, follow: bool = False, poll_interval: flo
     Without ``follow`` the file is read once to its end. With ``follow`` the
     reader never ends: it holds back an incomplete trailing line until the
     writer finishes it with a newline, and at end of file it sleeps
-    ``poll_interval`` seconds before looking again. A file found shorter
-    than the read offset at end of file was truncated: the held-back line
-    is dropped and reading starts again from the top. A file truncated and
-    refilled past the offset between two looks is not noticed.
+    ``poll_interval`` seconds before looking again. At end of file the held
+    back line is dropped and reading starts again from the top of the log
+    when the file is found shorter than the read offset (truncated), or when
+    ``path`` names another file (rotated: renamed, and a new file created
+    under the old name), as ``tail -F`` does. A file truncated and refilled
+    past the offset between two looks is not noticed.
     """
     try:
-        with open(path, "rb") as fh:
-            if not follow:
+        if not follow:
+            with open(path, "rb") as fh:
                 yield from fh
-                return
-            pending = b""
-            while True:
-                raw = fh.readline()
-                if raw.endswith(b"\n"):
-                    yield pending + raw
-                    pending = b""
-                elif os.fstat(fh.fileno()).st_size < fh.tell():
-                    pending = b""
-                    fh.seek(0)
-                else:
-                    pending += raw
-                    time.sleep(poll_interval)
+            return
+        while True:  # once per file found at ``path``
+            with open(path, "rb") as fh:
+                pending = b""
+                while True:
+                    raw = fh.readline()
+                    if raw.endswith(b"\n"):
+                        yield pending + raw
+                        pending = b""
+                    elif os.fstat(fh.fileno()).st_size < fh.tell():
+                        pending = b""
+                        fh.seek(0)
+                    elif _rotated(path, fh):
+                        break
+                    else:
+                        pending += raw
+                        time.sleep(poll_interval)
     except OSError as exc:
         raise InputError(f"cannot read score log {path}: {exc}") from exc
+
+
+def _rotated(path: str | Path, fh) -> bool:
+    """Whether ``path`` now names a file other than the open ``fh``."""
+    try:
+        return not os.path.samestat(os.stat(path), os.fstat(fh.fileno()))
+    except FileNotFoundError:  # renamed away, and no new file yet
+        return False
 
 
 def parse_score_lines(
@@ -279,7 +296,7 @@ def _parse_unit_score(value: str, row_no: int, column: str) -> float:
     return score
 
 
-def read_paired(path: str | Path) -> list[PairedPrediction]:
+def read_paired(path: str | Path) -> PairedPredictions:
     """Read a paired-prediction CSV with header ``entity_id,pred_a,pred_b[,label]``."""
     path = Path(path)
     rows = csv_rows(path, "paired CSV")
@@ -289,24 +306,33 @@ def read_paired(path: str | Path) -> list[PairedPrediction]:
             f"{path}: header must be entity_id,pred_a,pred_b[,label], got {','.join(header)}"
         )
     has_label = len(header) == 4
-    out: list[PairedPrediction] = []
+    entity_ids: list[str] = []
+    pred_a = array("d")
+    pred_b = array("d")
+    labels = array("b")
     for row_no, row in rows:
         if len(row) != len(header):
             raise InputError(f"row {row_no}: expected {len(header)} fields, got {len(row)}")
         entity = row[0].strip()
         if not entity:
             raise InputError(f"row {row_no}: empty entity_id")
-        pred_a = _parse_unit_score(row[1].strip(), row_no, "pred_a")
-        pred_b = _parse_unit_score(row[2].strip(), row_no, "pred_b")
-        label: int | None = None
+        pred_a.append(_parse_unit_score(row[1].strip(), row_no, "pred_a"))
+        pred_b.append(_parse_unit_score(row[2].strip(), row_no, "pred_b"))
+        label = -1
         if has_label:
             cell = row[3].strip()
             if cell:
                 if cell not in ("0", "1"):
                     raise InputError(f"row {row_no}: label must be 0 or 1, got {cell!r}")
                 label = int(cell)
-        out.append(PairedPrediction(entity, pred_a, pred_b, label))
-    return out
+        entity_ids.append(entity)
+        labels.append(label)
+    return PairedPredictions(
+        entity_ids,
+        np.array(pred_a, dtype=np.float64),
+        np.array(pred_b, dtype=np.float64),
+        np.array(labels, dtype=np.int8),
+    )
 
 
 def read_tabular(path: str | Path, target_column: str, *, impute: bool = False) -> TabularDataset:

@@ -138,11 +138,6 @@ class Mode:
     basin: tuple[int, int]  # inclusive bin range of that basin
 
 
-@dataclass(frozen=True)
-class ModeSet:
-    modes: tuple[Mode, ...]
-
-
 def _plateau_maxima(h: np.ndarray) -> list[int]:
     """Indices of local maxima; plateaus collapse to their center bin.
 
@@ -183,7 +178,7 @@ def _prominence(h: np.ndarray, peak: int) -> float:
     return float(h[peak] - max(bases))
 
 
-def detect_modes(smoothed: SmoothedRdc, prominence_min: float = 0.10) -> ModeSet:
+def detect_modes(smoothed: SmoothedRdc, prominence_min: float = 0.10) -> tuple[Mode, ...]:
     """Find the modes of the smoothed heights.
 
     A local maximum is kept when its prominence is at least
@@ -213,7 +208,7 @@ def detect_modes(smoothed: SmoothedRdc, prominence_min: float = 0.10) -> ModeSet
         end = len(h) - 1 if idx == len(peaks) - 1 else bounds[idx]
         mass = float(h[start : end + 1].sum())
         modes.append(Mode(p, float(centers[p]), float(h[p]), prom, mass, (start, end)))
-    return ModeSet(tuple(modes))
+    return tuple(modes)
 
 
 @dataclass(frozen=True)
@@ -321,14 +316,14 @@ def diagnose(rdc: Rdc, config: DiagnosisConfig = DEFAULT_DIAGNOSIS) -> RdcDiagno
         "roughness": smoothed.roughness,
         "spike_bin": spike_bin,
         "spike_share": spike_share,
-        "modes": [_mode_summary(m) for m in modes.modes],
+        "modes": [_mode_summary(m) for m in modes],
     }
 
     if smoothed.roughness > config.roughness_max and spike_share < config.spike_share:
         return RdcDiagnosis(RdcPattern.NOISY, evidence)
 
-    if len(modes.modes) >= 2:
-        ranked = sorted(modes.modes, key=lambda m: (-m.mass, m.bin_index))
+    if len(modes) >= 2:
+        ranked = sorted(modes, key=lambda m: (-m.mass, m.bin_index))
         left, right = sorted(ranked[:2], key=lambda m: m.bin_index)
         gap = smoothed.heights[left.bin_index + 1 : right.bin_index]
         vmin = float(gap.min())
@@ -338,9 +333,9 @@ def diagnose(rdc: Rdc, config: DiagnosisConfig = DEFAULT_DIAGNOSIS) -> RdcDiagno
             "min_height": vmin,
             "depth": depth,
         }
-        if len(modes.modes) > 2:
+        if len(modes) > 2:
             evidence["extra_modes"] = [
-                _mode_summary(m) for m in modes.modes if m not in (left, right)
+                _mode_summary(m) for m in modes if m not in (left, right)
             ]
         if depth >= config.valley_depth_floor * min(left.height, right.height):
             band = _valley_band(rdc.edges, left.bin_index + 1, gap, config.band_tolerance)
@@ -349,12 +344,12 @@ def diagnose(rdc: Rdc, config: DiagnosisConfig = DEFAULT_DIAGNOSIS) -> RdcDiagno
     if spike_share >= config.spike_share:
         second = any(
             m.mass >= config.second_mode_mass and not (m.basin[0] <= spike_bin <= m.basin[1])
-            for m in modes.modes
+            for m in modes
         )
         if not second:
             return RdcDiagnosis(RdcPattern.EXTREME_SPIKE, evidence)
 
-    if len(modes.modes) == 1 and config.central_lo <= modes.modes[0].location <= config.central_hi:
+    if len(modes) == 1 and config.central_lo <= modes[0].location <= config.central_hi:
         return RdcDiagnosis(RdcPattern.CENTRAL_UNIMODAL, evidence)
 
     return RdcDiagnosis(RdcPattern.INDETERMINATE, evidence)

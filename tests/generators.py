@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from scorescope.ingest import PairedPrediction, ScoreRecord, dataset_from_arrays
+from scorescope.ingest import PairedPredictions, ScoreRecord, dataset_from_arrays
 
 
 def bimodal_scores(n: int, seed: int) -> np.ndarray:
@@ -78,7 +78,18 @@ def median_split_availability(n: int, seed: int):
     return x, has
 
 
-def corrected_pairs(n: int = 1000, wrong_a: float = 0.2, wrong_b_given_a_right: float = 0.125):
+def paired(pred_a, pred_b, labels=None) -> PairedPredictions:
+    """Paired-prediction columns for entities e0, e1, ...; unlabeled (-1) unless ``labels`` is given."""
+    n = len(pred_a)
+    return PairedPredictions(
+        [f"e{i}" for i in range(n)],
+        np.asarray(pred_a, dtype=np.float64),
+        np.asarray(pred_b, dtype=np.float64),
+        np.full(n, -1, dtype=np.int8) if labels is None else np.asarray(labels, dtype=np.int8),
+    )
+
+
+def corrected_pairs(n: int = 1000, wrong_a: float = 0.2, wrong_b_given_a_right: float = 0.125) -> PairedPredictions:
     """Pairs where model B fixes all of A's errors and errs on a slice A gets right.
 
     With wrong_a = 0.2 and B wrong on 100 of A's 800 correct cases, exactly
@@ -86,14 +97,14 @@ def corrected_pairs(n: int = 1000, wrong_a: float = 0.2, wrong_b_given_a_right: 
     """
     n_a_wrong = int(round(wrong_a * n))
     n_b_wrong = int(round(wrong_b_given_a_right * (n - n_a_wrong)))
-    pairs = []
+    pred_a, pred_b = [], []
     for i in range(n):
-        label = 1
         if i < n_a_wrong:
             a, b = 0.0, 1.0  # A wrong, B corrects it
         elif i < n_a_wrong + n_b_wrong:
             a, b = 1.0, 0.0  # A right, B wrong
         else:
             a, b = 1.0, 1.0
-        pairs.append(PairedPrediction(f"e{i}", a, b, label))
-    return pairs
+        pred_a.append(a)
+        pred_b.append(b)
+    return paired(pred_a, pred_b, labels=[1] * n)

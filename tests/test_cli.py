@@ -306,6 +306,18 @@ class TestBiasCommand:
                 "SEVERE needs p <= 0.01; 20 permutations give p >= 1/21"
             )
 
+    @pytest.mark.parametrize("command", ["bias", "setup"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_two(self, tmp_path, capsys, command, workers):
+        x, has = median_split_availability(200, seed=0)
+        rows = [f"{a:.6f},{b:.6f},{int(b > 0)},{h}" for (a, b), h in zip(x, has)]
+        path = write_csv(tmp_path / "t.csv", "f1,f2,target,has_label", rows)
+        argv = [command, "--input", path, "--availability-column", "has_label", "--permutations", "5"]
+        argv += ["--workers", workers] + (["--target", "target"] if command == "setup" else [])
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == "error: workers must be >= 1\n"
+
 
 class TestSetupCommand:
     def test_full_construction_report(self, tmp_path, capsys):
@@ -466,6 +478,28 @@ class TestWatchCommand:
         code, _, err = run(["watch", "--input", stream, "--once", "--config", str(config)], capsys)
         assert code == 1
         assert "reference" in err
+
+
+@given(st.lists(st.integers(90, 110), min_size=1, max_size=4))  # around the default min_samples of 100
+@settings(max_examples=40, deadline=None)
+def test_rdc_skips_exactly_the_models_below_min_samples(sizes):
+    records = []
+    for k, n in enumerate(sizes):
+        records += score_records(bimodal_scores(n, k), model_id=f"m{k}")
+    small = {f"m{k}": n for k, n in enumerate(sizes) if n < 100}
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "log.jsonl"
+        write_score_log(records, log)
+        report = Path(tmp) / "rdc.json"
+        code = main(["rdc", "--input", str(log), "--output", str(report)])
+        if len(small) == len(sizes):
+            assert code == 2 and not report.exists()
+            return
+        assert code == 0
+        models = json.loads(report.read_text(encoding="utf-8"))["results"]["models"]
+    assert list(models) == [f"m{k}" for k in range(len(sizes))]
+    skipped = {model_id: entry for model_id, entry in models.items() if "skipped" in entry}
+    assert skipped == {m: {"n": n, "skipped": f"need at least 100 samples, got {n}"} for m, n in small.items()}
 
 
 _VALID_LINES = st.builds(

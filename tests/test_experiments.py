@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import corrected_pairs
+from generators import corrected_pairs, paired
 from scorescope._stats import z_quantile
 from scorescope.errors import PreconditionError
 from scorescope.experiments import (
@@ -18,7 +18,6 @@ from scorescope.experiments import (
     required_sample_size,
     simulate_paired_experiment,
 )
-from scorescope.ingest import PairedPrediction
 
 
 def brute_force_max_disagreement(a: float, b: float, grid: int = 201) -> float:
@@ -34,11 +33,11 @@ def brute_force_max_disagreement(a: float, b: float, grid: int = 201) -> float:
 
 class TestDisagreement:
     def test_identical_predictions(self):
-        pairs = [PairedPrediction(f"e{i}", 0.9, 0.9) for i in range(10)]
+        pairs = paired([0.9] * 10, [0.9] * 10)
         assert disagreement(pairs).rate == 0.0
 
     def test_opposite_predictions(self):
-        pairs = [PairedPrediction(f"e{i}", 0.9, 0.1) for i in range(10)]
+        pairs = paired([0.9] * 10, [0.1] * 10)
         assert disagreement(pairs).rate == 1.0
 
     def test_corrected_model_reaches_thirty_percent(self):
@@ -49,17 +48,17 @@ class TestDisagreement:
         assert report.accuracy_b == pytest.approx(0.9)
 
     def test_threshold_binarizes_scores(self):
-        pairs = [PairedPrediction("e1", 0.45, 0.55)]
+        pairs = paired([0.45], [0.55])
         assert disagreement(pairs, threshold=0.5).rate == 1.0
         assert disagreement(pairs, threshold=0.4).rate == 0.0
 
     def test_accuracies_absent_without_labels(self):
-        report = disagreement([PairedPrediction("e1", 1.0, 0.0)])
+        report = disagreement(paired([1.0], [0.0]))
         assert report.accuracy_a is None and report.accuracy_b is None
 
     def test_empty_input(self):
         with pytest.raises(PreconditionError):
-            disagreement([])
+            disagreement(paired([], []))
 
 
 class TestMaxDisagreement:

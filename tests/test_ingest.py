@@ -11,7 +11,6 @@ import pytest
 from scorescope.blocked import read_blocked_csv
 from scorescope.errors import InputError
 from scorescope.ingest import (
-    PairedPrediction,
     ScoreRecord,
     read_log_lines,
     read_paired,
@@ -150,14 +149,41 @@ class TestFollow:
         lines.close()
 
 
+    def test_rotated_log_is_followed_to_the_new_file(self, tmp_path):
+        path = tmp_path / "live.jsonl"
+        path.write_bytes(b"old 1\nold 2\nhalf")
+        lines = read_log_lines(path, follow=True, poll_interval=0.01)
+        assert [next(lines), next(lines)] == [b"old 1\n", b"old 2\n"]
+
+        def rotate():
+            time.sleep(0.2)
+            path.rename(tmp_path / "live.jsonl.1")
+            path.write_bytes(b"new 1\nnew 2\n")
+
+        got = []
+        # the reader runs in its own thread so that a reader stuck on the old file cannot hang the test
+        reader = threading.Thread(target=lambda: got.extend([next(lines), next(lines)]), daemon=True)
+        writer = threading.Thread(target=rotate)
+        reader.start()
+        writer.start()
+        writer.join(timeout=5)
+        reader.join(timeout=5)
+        assert not writer.is_alive() and not reader.is_alive()
+        assert got == [b"new 1\n", b"new 2\n"]  # the held-back "half" of the old file is dropped
+        lines.close()
+
+
 class TestPaired:
     def test_basic_row(self, tmp_path):
         path = write_lines(tmp_path / "p.csv", ["entity_id,pred_a,pred_b,label", "e1,0.9,0.1,1"])
-        assert read_paired(path) == [PairedPrediction("e1", 0.9, 0.1, 1)]
+        pairs = read_paired(path)
+        assert pairs.entity_ids == ["e1"]
+        assert pairs.pred_a.dtype == pairs.pred_b.dtype == np.float64 and pairs.labels.dtype == np.int8
+        assert (pairs.pred_a.tolist(), pairs.pred_b.tolist(), pairs.labels.tolist()) == ([0.9], [0.1], [1])
 
     def test_header_only_is_empty(self, tmp_path):
         path = write_lines(tmp_path / "p.csv", ["entity_id,pred_a,pred_b"])
-        assert read_paired(path) == []
+        assert len(read_paired(path)) == 0
 
     def test_missing_pred_b_errors(self, tmp_path):
         path = write_lines(tmp_path / "p.csv", ["entity_id,pred_a,pred_b", "e1,0.9"])
@@ -176,14 +202,12 @@ class TestPaired:
 
     def test_label_optional_per_row(self, tmp_path):
         path = write_lines(tmp_path / "p.csv", ["entity_id,pred_a,pred_b,label", "e1,0.9,0.1,", "e2,0.2,0.3,0"])
-        rows = read_paired(path)
-        assert rows[0].true_label is None
-        assert rows[1].true_label == 0
+        assert read_paired(path).labels.tolist() == [-1, 0]  # -1: unlabeled
 
     def test_order_preserved(self, tmp_path):
         lines = ["entity_id,pred_a,pred_b"] + [f"e{i},0.{i},0.{i}" for i in range(1, 8)]
-        rows = read_paired(write_lines(tmp_path / "p.csv", lines))
-        assert [r.entity_id for r in rows] == [f"e{i}" for i in range(1, 8)]
+        pairs = read_paired(write_lines(tmp_path / "p.csv", lines))
+        assert pairs.entity_ids == [f"e{i}" for i in range(1, 8)]
 
     def test_error_names_file_row_after_blank_row(self, tmp_path):
         lines = ["entity_id,pred_a,pred_b", "e1,0.1,0.2", "", "e2,0.1,x"]

@@ -114,35 +114,35 @@ class TestSmooth:
 class TestDetectModes:
     def test_bimodal_mixture_structure(self):
         sm = smooth(build_rdc(bimodal_scores(10_000, 0)), window=5)
-        ms = detect_modes(sm, prominence_min=0.10)
-        assert len(ms.modes) == 2
-        left, right = ms.modes
+        modes = detect_modes(sm, prominence_min=0.10)
+        assert len(modes) == 2
+        left, right = modes
         assert 0.0 <= left.location <= 0.3
         assert 0.7 <= right.location <= 1.0
 
     def test_strictly_increasing_single_mode_at_last_bin(self):
         sm = smooth(Rdc.from_counts(list(range(1, 11))), window=1)
-        ms = detect_modes(sm)
-        assert len(ms.modes) == 1
-        assert ms.modes[0].bin_index == 9
+        modes = detect_modes(sm)
+        assert len(modes) == 1
+        assert modes[0].bin_index == 9
 
     def test_spike_on_flat_background(self):
         counts = np.ones(100, dtype=int)
         counts[37] = 100
-        ms = detect_modes(smooth(Rdc.from_counts(counts), window=1))
-        assert [m.bin_index for m in ms.modes] == [37]
+        modes = detect_modes(smooth(Rdc.from_counts(counts), window=1))
+        assert [m.bin_index for m in modes] == [37]
 
     def test_plateau_collapses_to_center(self):
-        ms = detect_modes(smooth(Rdc.from_counts([0, 5, 5, 5, 0]), window=1))
-        assert [m.bin_index for m in ms.modes] == [2]
+        modes = detect_modes(smooth(Rdc.from_counts([0, 5, 5, 5, 0]), window=1))
+        assert [m.bin_index for m in modes] == [2]
 
     def test_modes_sorted_and_masses_partition(self):
         sm = smooth(build_rdc(bimodal_scores(10_000, 7)), window=5)
-        ms = detect_modes(sm)
-        locations = [m.location for m in ms.modes]
+        modes = detect_modes(sm)
+        locations = [m.location for m in modes]
         assert locations == sorted(locations)
-        assert sum(m.mass for m in ms.modes) == pytest.approx(1.0, abs=1e-9)
-        assert all(m.prominence >= 0 for m in ms.modes)
+        assert sum(m.mass for m in modes) == pytest.approx(1.0, abs=1e-9)
+        assert all(m.prominence >= 0 for m in modes)
 
 
 class TestDiagnose:
@@ -312,7 +312,7 @@ class TestInvariance:
         s1, s2 = smooth(r1), smooth(r2)
         assert np.array_equal(s1.heights, s2.heights) and s1.roughness == s2.roughness
         m1, m2 = detect_modes(s1), detect_modes(s2)
-        assert m1.modes == m2.modes
+        assert m1 == m2
         d1, d2 = diagnose(r1), diagnose(r2)
         assert d1.pattern is d2.pattern and d1.evidence == d2.evidence
         assert d1.threshold_band == d2.threshold_band
