@@ -34,6 +34,7 @@ from .construction import (
     DEFAULT_LOGISTIC,
     BiasSeverity,
     bias_severity,
+    check_probe_settings,
     class_balance,
     learnability_gap,
 )
@@ -154,8 +155,11 @@ def cmd_rdc(args):
     overrides = _load_overrides(args.config)
     dconf = _diagnosis_config(args, overrides)
     log = read_score_log(args.input, rescale=args.rescale)
-    records = [r for r in log.records if args.model is None or r.model_id == args.model]
-    if not records:
+    columns = log.columns
+    if args.model is not None:
+        wanted = columns.model_ids.index(args.model) if args.model in columns.model_ids else -1
+        columns = columns.take(columns.model == wanted)
+    if not len(columns):
         raise PreconditionError("no score records to chart (check --model and the input log)")
 
     results: dict = {"models": {}, "skipped_lines": log.skipped}
@@ -172,16 +176,16 @@ def cmd_rdc(args):
         entry = {"n": rdc.n, "pattern": diag.pattern, "evidence": diag.evidence, "threshold_band": diag.threshold_band}
         return diag, entry
 
-    by_model = group_by(records, "model_id")
-    for model_id, group in by_model.items():
-        rdc = build_rdc([r.score for r in group], dconf.bins)
+    by_model = group_by(columns, "model_id")
+    for model_id, rows in by_model.items():
+        rdc = build_rdc(columns.score[rows], dconf.bins)
         diag, entry = chart_entry(model_id, rdc)
         results["models"][model_id] = entry
         if diag is None:
             continue
         entry.update(bins=rdc.bin_count, counts=rdc.counts)
         if args.per_class:
-            classes = one_vs_rest(group, dconf.bins)
+            classes = one_vs_rest(columns.take(rows), dconf.bins)
             entry["classes"] = {label: chart_entry(f"{model_id}/{label}", c)[1] for label, c in classes.items()}
         if args.svg:
             locations = tuple(m["location"] for m in diag.evidence["modes"])
@@ -253,6 +257,7 @@ def _split_availability(dataset, availability_column: str):
 
 
 def cmd_setup(args):
+    check_probe_settings(args.permutations, args.workers)  # checked even when the probe does not run
     overrides = _load_overrides(args.config)
     cutoffs = _apply_section(DEFAULT_BIAS_CUTOFFS, "bias_cutoffs", overrides)
     logistic = _apply_section(DEFAULT_LOGISTIC, "logistic", overrides)

@@ -394,6 +394,14 @@ class BiasReport:
     fold_aucs: tuple[float, ...] = field(default=())
 
 
+def check_probe_settings(permutations: int, workers: int) -> None:
+    """Raise PreconditionError unless ``bias_severity`` can run with these counts."""
+    if permutations < 1:
+        raise PreconditionError("permutations must be >= 1")
+    if workers < 1:
+        raise PreconditionError("workers must be >= 1")
+
+
 def bias_severity(
     features,
     has_label,
@@ -426,10 +434,7 @@ def bias_severity(
     n_labeled = int(y.sum())
     if n_labeled == 0 or n_labeled == n:
         raise PreconditionError("need both labeled and unlabeled observations")
-    if permutations < 1:
-        raise PreconditionError("permutations must be >= 1")
-    if workers < 1:
-        raise PreconditionError("workers must be >= 1")
+    check_probe_settings(permutations, workers)
 
     rng = np.random.default_rng(seed)
     fold_idx = _fold_indices(n, folds, rng)  # consumes the first draw of the stream

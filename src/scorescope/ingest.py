@@ -12,9 +12,11 @@ import csv
 import json
 import math
 import os
+import sys
 import time
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Literal, Sequence
 
@@ -27,6 +29,12 @@ _MISSING_TOKENS = frozenset({"", "na", "nan", "null"})
 
 # fraction of malformed score-log lines tolerated before the whole read aborts
 MALFORMED_LINE_LIMIT = 0.10
+
+# bytes of complete lines read from a score log per batch
+_BATCH_BYTES = 1 << 20
+
+_scan = json.JSONDecoder().scan_once  # the scanner json.loads runs, at its defaults
+_JSON_SPACE = " \t\n\r"  # the whitespace json.loads allows around a value
 
 
 @dataclass(frozen=True)
@@ -41,8 +49,19 @@ class ScoreRecord:
     true_label: int | None = None
 
 
-@dataclass(frozen=True)
-class PairedPredictions:
+class _ArrayFieldsEq:
+    """Value ``==`` for dataclasses with ndarray fields, whose generated ``==`` raises."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+@dataclass(frozen=True, eq=False)
+class PairedPredictions(_ArrayFieldsEq):
     """Entities scored by two models, as columns: the input of disagreement analysis."""
 
     entity_ids: list[str]
@@ -54,8 +73,8 @@ class PairedPredictions:
         return len(self.entity_ids)
 
 
-@dataclass(frozen=True)
-class TabularDataset:
+@dataclass(frozen=True, eq=False)
+class TabularDataset(_ArrayFieldsEq):
     """Numeric feature matrix plus a binary target vector."""
 
     feature_names: tuple[str, ...]
@@ -71,20 +90,130 @@ class TabularDataset:
         return self.rows.shape[1]
 
 
+@dataclass(frozen=True, eq=False)
+class ScoreColumns(_ArrayFieldsEq):
+    """Score-log records as columns, in file order.
+
+    Model ids and class labels are codes into tables sorted by id. ``ts`` is
+    int64, or object (Python ints) when a timestamp does not fit in int64.
+    """
+
+    model_ids: tuple[str, ...]
+    model: np.ndarray  # (n,) int32 codes into model_ids
+    ts: np.ndarray  # (n,) int64 or object
+    score: np.ndarray  # (n,) float64
+    entity_id: np.ndarray  # (n,) object: str, or None where absent
+    class_ids: tuple[str, ...]
+    class_code: np.ndarray  # (n,) int32 codes into class_ids, -1 where absent
+    label: np.ndarray  # (n,) int8: 0, 1, or -1 where absent
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    @classmethod
+    def from_records(cls, records: Iterable[ScoreRecord]) -> ScoreColumns:
+        """The records as columns, in order."""
+        return _score_columns([_row(r) for r in records])
+
+    @classmethod
+    def concat(cls, batches: Sequence[ScoreColumns]) -> ScoreColumns:
+        """The batches' records in order, under merged code tables."""
+        if not batches:
+            return cls.from_records(())
+        coded = {}
+        for codes, table in (("model", "model_ids"), ("class_code", "class_ids")):
+            ids = tuple(sorted(set().union(*(getattr(b, table) for b in batches))))
+            rank = {v: i for i, v in enumerate(ids)}
+            # each batch's codes through a lookup to the merged ones, whose trailing -1 keeps code -1
+            lookups = [np.array([rank[v] for v in getattr(b, table)] + [-1], dtype=np.int32) for b in batches]
+            coded[table] = ids
+            coded[codes] = np.concatenate([lookup[getattr(b, codes)] for lookup, b in zip(lookups, batches)])
+        for name in ("ts", "score", "entity_id", "label"):
+            coded[name] = np.concatenate([getattr(b, name) for b in batches])
+        return cls(**coded)
+
+    def take(self, rows) -> ScoreColumns:
+        """The records at ``rows`` (indices or a boolean mask), under the same code tables."""
+        return replace(
+            self,
+            model=self.model[rows],
+            ts=self.ts[rows],
+            score=self.score[rows],
+            entity_id=self.entity_id[rows],
+            class_code=self.class_code[rows],
+            label=self.label[rows],
+        )
+
+    @cached_property
+    def records(self) -> list[ScoreRecord]:
+        """The columns as ScoreRecords, built on first use."""
+        models, classes = self.model_ids, self.class_ids
+        rows = zip(
+            self.model.tolist(),
+            self.ts.tolist(),
+            self.score.tolist(),
+            self.entity_id.tolist(),
+            self.class_code.tolist(),
+            self.label.tolist(),
+        )
+        return [
+            ScoreRecord(models[m], ts, score, entity, classes[c] if c >= 0 else None, label if label >= 0 else None)
+            for m, ts, score, entity, c, label in rows
+        ]
+
+
+def _row(r: ScoreRecord) -> tuple:
+    return r.model_id, r.ts, r.score, r.entity_id, r.class_label, -1 if r.true_label is None else r.true_label
+
+
+def _encode(values: Sequence) -> tuple[tuple[str, ...], np.ndarray]:
+    """Codes of ``values`` into the sorted table of their distinct values; None is -1."""
+    table = tuple(sorted(v for v in dict.fromkeys(values) if v is not None))
+    rank = {v: i for i, v in enumerate(table)}
+    rank[None] = -1
+    return table, np.fromiter(map(rank.__getitem__, values), dtype=np.int32, count=len(values))
+
+
+def _score_columns(rows: list[tuple]) -> ScoreColumns:
+    """Columns of ``_row`` tuples."""
+    models, ts, scores, entities, classes, labels = zip(*rows) if rows else [()] * 6
+    model_ids, model = _encode(models)
+    class_ids, class_code = _encode(classes)
+    try:
+        ts_column = np.array(ts, dtype=np.int64)
+    except OverflowError:  # a timestamp past int64
+        ts_column = np.array(ts, dtype=object)
+    return ScoreColumns(
+        model_ids,
+        model,
+        ts_column,
+        np.array(scores, dtype=np.float64),
+        np.array(entities, dtype=object),
+        class_ids,
+        class_code,
+        np.array(labels, dtype=np.int8),
+    )
+
+
 @dataclass
 class ScoreLog:
-    """Parsed score log: validated records plus skip bookkeeping."""
+    """Parsed score log: validated records as columns plus skip bookkeeping."""
 
-    records: list[ScoreRecord]
+    columns: ScoreColumns
     skipped: int = 0
     skipped_lines: list[tuple[int, str]] = field(default_factory=list)
     rescaled: bool = False
+
+    @property
+    def records(self) -> list[ScoreRecord]:
+        """The records as ScoreRecords, built on first use and kept."""
+        return self.columns.records
 
     def __iter__(self):
         return iter(self.records)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.columns)
 
 
 class _MalformedLine(ValueError):
@@ -114,6 +243,8 @@ def parse_score_line(line: str, *, allow_out_of_range: bool = False) -> ScoreRec
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise _MalformedLine(f"invalid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer past the digit limit, nesting past the depth limit
+        raise _MalformedLine(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise _MalformedLine("line is not an object")
     model_id = obj.get("model_id")
@@ -123,7 +254,11 @@ def parse_score_line(line: str, *, allow_out_of_range: bool = False) -> ScoreRec
     if not isinstance(ts, int) or isinstance(ts, bool) or ts < 0:
         raise _MalformedLine("ts must be a non-negative integer")
     score = obj.get("score")
-    if not isinstance(score, (int, float)) or isinstance(score, bool) or not math.isfinite(score):
+    try:
+        finite = isinstance(score, (int, float)) and not isinstance(score, bool) and math.isfinite(score)
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
         raise _MalformedLine("score must be a finite number")
     score = float(score)
     if not allow_out_of_range and not 0.0 <= score <= 1.0:
@@ -138,39 +273,43 @@ def parse_score_line(line: str, *, allow_out_of_range: bool = False) -> ScoreRec
     return ScoreRecord(model_id, ts, score, entity_id, class_label, label)
 
 
-def read_log_lines(path: str | Path, *, follow: bool = False, poll_interval: float = 1.0) -> Iterator[bytes]:
-    """Yield the raw lines of a score log, each split at ``\\n``.
+def read_log_lines(
+    path: str | Path, *, follow: bool = False, poll_interval: float = 1.0
+) -> Iterator[list[bytes]]:
+    """Yield the raw lines of a score log in batches, each line split at ``\\n``.
 
-    Without ``follow`` the file is read once to its end. With ``follow`` the
-    reader never ends: it holds back an incomplete trailing line until the
-    writer finishes it with a newline, and at end of file it sleeps
-    ``poll_interval`` seconds before looking again. At end of file the held
-    back line is dropped and reading starts again from the top of the log
-    when the file is found shorter than the read offset (truncated), or when
-    ``path`` names another file (rotated: renamed, and a new file created
-    under the old name), as ``tail -F`` does. A file truncated and refilled
-    past the offset between two looks is not noticed.
+    A batch holds about ``_BATCH_BYTES`` of complete lines, or what one poll
+    finds. Without ``follow`` the file is read once to its end. With
+    ``follow`` the reader never ends: it holds back an incomplete trailing
+    line until the writer finishes it with a newline, and at end of file it
+    sleeps ``poll_interval`` seconds before looking again. At end of file the
+    held back line is dropped and reading starts again from the top of the
+    log when the file is found shorter than the read offset (truncated), or
+    when ``path`` names another file (rotated: renamed, and a new file
+    created under the old name), as ``tail -F`` does. A file truncated and
+    refilled past the offset between two looks is not noticed.
     """
     try:
-        if not follow:
-            with open(path, "rb") as fh:
-                yield from fh
-            return
         while True:  # once per file found at ``path``
             with open(path, "rb") as fh:
                 pending = b""
                 while True:
-                    raw = fh.readline()
-                    if raw.endswith(b"\n"):
-                        yield pending + raw
-                        pending = b""
+                    batch = fh.readlines(_BATCH_BYTES)
+                    if batch:
+                        batch[0] = pending + batch[0]
+                        pending = b"" if batch[-1].endswith(b"\n") else batch.pop()
+                        if batch:
+                            yield batch
+                    elif not follow:
+                        if pending:
+                            yield [pending]
+                        return
                     elif os.fstat(fh.fileno()).st_size < fh.tell():
                         pending = b""
                         fh.seek(0)
                     elif _rotated(path, fh):
                         break
                     else:
-                        pending += raw
                         time.sleep(poll_interval)
     except OSError as exc:
         raise InputError(f"cannot read score log {path}: {exc}") from exc
@@ -185,38 +324,69 @@ def _rotated(path: str | Path, fh) -> bool:
 
 
 def parse_score_lines(
-    lines: Iterable[bytes],
+    batches: Iterable[list[bytes]],
     malformed: list[tuple[int, str]],
     *,
     out_of_range: Literal["raise", "keep", "skip"] = "raise",
-) -> Iterator[ScoreRecord]:
-    """Parse raw score-log lines into records, numbering lines from 1.
+) -> Iterator[ScoreColumns]:
+    """Parse batches of raw score-log lines into columns, one per batch,
+    numbering lines from 1 across batches.
 
     Blank lines are passed over; a line that is not UTF-8 or fails
     validation is skipped and appends ``(line_no, reason)`` to
     ``malformed``. A score outside [0, 1] raises InputError naming the line,
     is kept, or is skipped as malformed, as ``out_of_range`` says.
+
+    ``parse_score_line`` defines a valid line. A line is decoded as strict
+    UTF-8 and scanned by json.loads's own scanner; a line that is one JSON
+    object whose fields ``parse_score_line`` takes as they are (str
+    model_id, int ts, float score in range, str or absent entity and class,
+    int 0/1 or absent label) goes straight into the columns, and every other
+    line goes to ``parse_score_line`` for its record, reason or error.
     """
-    for line_no, raw in enumerate(lines, start=1):
-        try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError:
-            malformed.append((line_no, "invalid UTF-8"))
-            continue
-        if not line.strip():
-            continue
-        try:
-            record = parse_score_line(line, allow_out_of_range=out_of_range == "keep")
-        except _MalformedLine as exc:
-            if out_of_range == "raise" and isinstance(exc, _OutOfRange):
-                raise InputError(f"line {line_no}: {exc} (use rescale to min-max rescale the file)") from None
-            malformed.append((line_no, str(exc)))
-            continue
-        yield record
+    keep = out_of_range == "keep"
+    lo, hi = (-sys.float_info.max, sys.float_info.max) if keep else (0.0, 1.0)  # NaN fails both
+    line_no = 0
+    for batch in batches:
+        rows = []  # one _row tuple per kept line
+        for raw in batch:
+            line_no += 1
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                malformed.append((line_no, "invalid UTF-8"))
+                continue
+            try:
+                obj, end = _scan(line, 0)
+            except (StopIteration, ValueError, RecursionError):  # parse_score_line says what is wrong
+                obj = None
+            if type(obj) is dict and not line[end:].strip(_JSON_SPACE):
+                get = obj.get
+                m, t, s = get("model_id"), get("ts"), get("score")
+                e, c, k = get("entity_id"), get("class"), get("label")
+                if (
+                    type(m) is str and m
+                    and type(t) is int and t >= 0
+                    and type(s) is float and lo <= s <= hi
+                    and (e is None or type(e) is str)
+                    and (c is None or type(c) is str)
+                    and (k is None or (type(k) is int and 0 <= k <= 1))
+                ):
+                    rows.append((m, t, s, e, c, -1 if k is None else k))
+                    continue
+            if not line.strip():
+                continue
+            try:
+                rows.append(_row(parse_score_line(line, allow_out_of_range=keep)))
+            except _MalformedLine as exc:
+                if out_of_range == "raise" and isinstance(exc, _OutOfRange):
+                    raise InputError(f"line {line_no}: {exc} (use rescale to min-max rescale the file)") from None
+                malformed.append((line_no, str(exc)))
+        yield _score_columns(rows)
 
 
 def read_score_log(path: str | Path, *, rescale: bool = False) -> ScoreLog:
-    """Read a line-delimited score log.
+    """Read a line-delimited score log into columns.
 
     Malformed lines, undecodable ones included, are skipped and counted. A
     single bad line is always tolerated (a writer may have been interrupted
@@ -227,29 +397,24 @@ def read_score_log(path: str | Path, *, rescale: bool = False) -> ScoreLog:
     """
     path = Path(path)
     skipped: list[tuple[int, str]] = []
-    records = list(parse_score_lines(read_log_lines(path), skipped, out_of_range="keep" if rescale else "raise"))
-    total = len(records) + len(skipped)
+    batches = parse_score_lines(read_log_lines(path), skipped, out_of_range="keep" if rescale else "raise")
+    columns = ScoreColumns.concat(list(batches))
+    total = len(columns) + len(skipped)
     if len(skipped) > 1 and len(skipped) / total > MALFORMED_LINE_LIMIT:
         raise InputError(
             f"{path}: {len(skipped)} of {total} lines malformed "
             f"(limit {MALFORMED_LINE_LIMIT:.0%}); first: line {skipped[0][0]}: {skipped[0][1]}"
         )
-    if rescale and records:
-        records = _rescale_records(records)
-    return ScoreLog(records, skipped=len(skipped), skipped_lines=skipped, rescaled=rescale)
+    if rescale and len(columns):
+        columns = replace(columns, score=_rescaled(columns.score))
+    return ScoreLog(columns, skipped=len(skipped), skipped_lines=skipped, rescaled=rescale)
 
 
-def _rescale_records(records: list[ScoreRecord]) -> list[ScoreRecord]:
-    scores = np.array([r.score for r in records], dtype=np.float64)
+def _rescaled(scores: np.ndarray) -> np.ndarray:
     lo, hi = float(scores.min()), float(scores.max())
     if hi > lo:
-        rescaled = (scores - lo) / (hi - lo)
-    else:
-        rescaled = np.full_like(scores, 0.5)  # constant file: midpoint
-    return [
-        ScoreRecord(r.model_id, r.ts, float(s), r.entity_id, r.class_label, r.true_label)
-        for r, s in zip(records, rescaled)
-    ]
+        return (scores - lo) / (hi - lo)
+    return np.full_like(scores, 0.5)  # constant file: midpoint
 
 
 def write_score_log(records: Iterable[ScoreRecord], path: str | Path) -> None:

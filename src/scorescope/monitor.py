@@ -245,13 +245,13 @@ def watch(
         raise PreconditionError(f"poll_interval must be a finite number > 0, got {poll_interval!r}")
     summary = WatchSummary()
     references: dict[str, tuple[Rdc, RdcDiagnosis]] = {}
-    reference_records = read_score_log(reference).records if reference else ()
-    for model_id, rdc in charts_by(reference_records, "model_id", config.diagnosis.bins).items():
-        diagnosis = diagnose_or_skip(rdc, config.diagnosis)
-        if isinstance(diagnosis, str):
-            summary.skipped_references[model_id] = diagnosis
-        else:
-            references[model_id] = (rdc, diagnosis)
+    if reference:
+        for model_id, rdc in charts_by(read_score_log(reference).columns, "model_id", config.diagnosis.bins).items():
+            diagnosis = diagnose_or_skip(rdc, config.diagnosis)
+            if isinstance(diagnosis, str):
+                summary.skipped_references[model_id] = diagnosis
+            else:
+                references[model_id] = (rdc, diagnosis)
 
     monitor = WindowedMonitor(config)
     malformed: list[tuple[int, str]] = []
@@ -275,12 +275,13 @@ def watch(
             on_alert(alert)
 
     lines = read_log_lines(path, follow=follow, poll_interval=poll_interval)
-    for record in parse_score_lines(lines, malformed, out_of_range="skip"):
-        if rules:
-            [record], overridden = apply_overrides([record], rules)
-            summary.overridden += overridden
-        for result in monitor.feed(record):
-            handle(result)
+    for batch in parse_score_lines(lines, malformed, out_of_range="skip"):
+        for record in batch.records:
+            if rules:
+                [record], overridden = apply_overrides([record], rules)
+                summary.overridden += overridden
+            for result in monitor.feed(record):
+                handle(result)
     for result in monitor.finish():
         handle(result)
     summary.dropped = monitor.dropped

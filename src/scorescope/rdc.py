@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import PreconditionError
-from .ingest import ScoreRecord
+from .ingest import ScoreColumns
 
 
 class RdcPattern(enum.Enum):
@@ -365,25 +365,30 @@ def diagnose_or_skip(rdc: Rdc, config: DiagnosisConfig = DEFAULT_DIAGNOSIS) -> R
         return str(exc)
 
 
-def group_by(records: Iterable[ScoreRecord], field: str) -> dict[str, list[ScoreRecord]]:
-    """Records grouped by a field that every record must carry, in key order."""
-    groups: dict[str, list[ScoreRecord]] = {}
-    for i, rec in enumerate(records):
-        key = getattr(rec, field)
-        if key is None:
-            raise PreconditionError(f"record {i} has no {field.replace('_', ' ')}")
-        groups.setdefault(key, []).append(rec)
-    return dict(sorted(groups.items()))
+def group_by(columns: ScoreColumns, field: str) -> dict[str, np.ndarray]:
+    """Row indices per value of ``"model_id"`` or ``"class_label"``, in key order.
+
+    Every record must carry the field. Each group is a slice of a stable sort
+    by code, so its rows keep file order.
+    """
+    coded = {"model_id": (columns.model, columns.model_ids), "class_label": (columns.class_code, columns.class_ids)}
+    codes, keys = coded[field]
+    missing = np.flatnonzero(codes < 0)
+    if missing.size:
+        raise PreconditionError(f"record {missing[0]} has no {field.replace('_', ' ')}")
+    order = np.argsort(codes, kind="stable")
+    bounds = np.searchsorted(codes[order], np.arange(len(keys) + 1)).tolist()
+    return {key: order[lo:hi] for key, lo, hi in zip(keys, bounds, bounds[1:]) if hi > lo}
 
 
-def charts_by(records: Iterable[ScoreRecord], field: str, bin_count: int = 100) -> dict[str, Rdc]:
-    """One chart per value of a record field, in key order."""
-    return {key: build_rdc([r.score for r in group], bin_count) for key, group in group_by(records, field).items()}
+def charts_by(columns: ScoreColumns, field: str, bin_count: int = 100) -> dict[str, Rdc]:
+    """One chart per value of ``"model_id"`` or ``"class_label"``, in key order."""
+    return {key: build_rdc(columns.score[rows], bin_count) for key, rows in group_by(columns, field).items()}
 
 
-def one_vs_rest(records: Iterable[ScoreRecord], bin_count: int = 100) -> dict[str, Rdc]:
+def one_vs_rest(columns: ScoreColumns, bin_count: int = 100) -> dict[str, Rdc]:
     """One chart per class from multi-class one-vs-rest score records."""
-    return charts_by(records, "class_label", bin_count)
+    return charts_by(columns, "class_label", bin_count)
 
 
 def rdc_distance(a: Rdc, b: Rdc) -> float:

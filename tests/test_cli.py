@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from generators import bimodal_scores, central_scores, median_split_availability, score_records
 from scorescope.cli import main
 from scorescope.ingest import read_score_log, write_score_log
+from scorescope.rdc import build_rdc
 
 
 def run(argv, capsys):
@@ -70,6 +71,35 @@ class TestRdcCommand:
         report = json.loads(out)
         assert report["results"]["skipped_lines"] == 1
         assert list(report["results"]["models"]) == ["m1"]
+
+    def test_huge_integer_score_is_skipped(self, bimodal_log, capsys):
+        with open(bimodal_log, "ab") as fh:
+            fh.write(b'{"model_id":"m1","ts":0,"score":1' + b"0" * 400 + b"}\n")
+        code, out, _ = run(["rdc", "--input", bimodal_log], capsys)
+        assert code == 0
+        assert json.loads(out)["results"]["skipped_lines"] == 1
+
+    def test_model_flag_charts_one_model(self, tmp_path, capsys):
+        records = score_records(bimodal_scores(600, 1), model_id="a") + score_records(
+            central_scores(400, 2), model_id="b"
+        )
+        path = tmp_path / "two.jsonl"
+        write_score_log(records, path)
+        code, out, _ = run(["rdc", "--input", str(path), "--model", "b"], capsys)
+        assert code == 0
+        models = json.loads(out)["results"]["models"]
+        assert list(models) == ["b"]
+        assert models["b"]["counts"] == build_rdc(central_scores(400, 2)).counts.tolist()
+        code, _, err = run(["rdc", "--input", str(path), "--model", "c"], capsys)
+        assert code == 2 and "no score records" in err
+
+    def test_rescale_charts_the_min_max_rescaled_scores(self, tmp_path, capsys):
+        scores = bimodal_scores(2000, 3) * 4.0 - 1.5
+        path = write_log(tmp_path / "wide.jsonl", scores)
+        code, out, _ = run(["rdc", "--input", path, "--rescale"], capsys)
+        assert code == 0
+        rescaled = (scores - scores.min()) / (scores.max() - scores.min())
+        assert json.loads(out)["results"]["models"]["m1"]["counts"] == build_rdc(rescaled).counts.tolist()
 
     def test_too_few_records_exits_two(self, tmp_path, capsys):
         path = write_log(tmp_path / "tiny.jsonl", [0.5] * 10)
@@ -338,6 +368,23 @@ class TestSetupCommand:
         assert results["learnability"]["gap"] > 0.3  # target is linearly separable
         assert results["bias"]["severity"] in ("NONE", "MILD", "SEVERE")
 
+    @pytest.mark.parametrize("probe", [False, True], ids=["without-probe", "with-probe"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--workers", "0"], "workers must be >= 1"),
+            (["--permutations", "0"], "permutations must be >= 1"),
+            (["--workers", "-3", "--permutations", "0"], "permutations must be >= 1"),
+        ],
+    )
+    def test_probe_flags_are_checked_with_or_without_the_probe(self, tmp_path, capsys, probe, flags, message):
+        x, has = median_split_availability(200, seed=0)
+        rows = [f"{a:.6f},{b:.6f},{int(b > 0)},{h}" for (a, b), h in zip(x, has)]
+        path = write_csv(tmp_path / "t.csv", "f1,f2,target,has_label", rows)
+        argv = ["setup", "--input", path, "--target", "target", *flags]
+        code, out, err = run(argv + (["--availability-column", "has_label"] if probe else []), capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestBlockedCommands:
     def test_simulate_then_analyze(self, tmp_path, capsys):
@@ -426,8 +473,12 @@ class TestWatchCommand:
 
     @pytest.mark.parametrize(
         "bad_line",
-        [b'{"model_id":"m\xff","ts":0,"score":0.5}', b'{"model_id":"m1","ts":0,"score":1.5}'],
-        ids=["invalid-utf8", "out-of-range"],
+        [
+            b'{"model_id":"m\xff","ts":0,"score":0.5}',
+            b'{"model_id":"m1","ts":0,"score":1.5}',
+            b'{"model_id":"m1","ts":0,"score":1' + b"0" * 400 + b"}",
+        ],
+        ids=["invalid-utf8", "out-of-range", "huge-integer-score"],
     )
     def test_bad_line_is_counted_not_fatal(self, tmp_path, capsys, bad_line):
         stream = write_log(tmp_path / "s.jsonl", bimodal_scores(1200, 6))
@@ -500,6 +551,33 @@ def test_rdc_skips_exactly_the_models_below_min_samples(sizes):
     assert list(models) == [f"m{k}" for k in range(len(sizes))]
     skipped = {model_id: entry for model_id, entry in models.items() if "skipped" in entry}
     assert skipped == {m: {"n": n, "skipped": f"need at least 100 samples, got {n}"} for m, n in small.items()}
+
+
+@given(st.lists(st.integers(90, 110), min_size=1, max_size=4))  # around the default min_samples of 100
+@settings(max_examples=40, deadline=None)
+def test_rdc_per_class_skips_exactly_the_classes_below_min_samples(sizes):
+    records = []
+    for k, n in enumerate(sizes):
+        records += score_records(bimodal_scores(n, k), class_label=f"c{k}")
+    small = {f"c{k}": n for k, n in enumerate(sizes) if n < 100}
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "log.jsonl"
+        write_score_log(records, log)
+        report = Path(tmp) / "rdc.json"
+        code = main(["rdc", "--input", str(log), "--per-class", "--output", str(report)])
+        if sum(sizes) < 100:  # one small class: the model itself is too small to chart
+            assert code == 2 and not report.exists()
+            return
+        assert code == 0
+        results = json.loads(report.read_text(encoding="utf-8"))["results"]
+    classes = results["models"]["m1"]["classes"]
+    assert list(classes) == [f"c{k}" for k in range(len(sizes))]
+    skipped = {label: entry for label, entry in classes.items() if "skipped" in entry}
+    assert skipped == {c: {"n": n, "skipped": f"need at least 100 samples, got {n}"} for c, n in small.items()}
+    charted = {label: entry for label, entry in classes.items() if label not in small}
+    assert all(entry["n"] >= 100 and "pattern" in entry for entry in charted.values())
+    unhealthy = {name for name in results.get("unhealthy", []) if "/" in name}
+    assert unhealthy == {f"m1/{c}" for c, entry in charted.items() if entry["pattern"] != "HEALTHY_BIMODAL"}
 
 
 _VALID_LINES = st.builds(

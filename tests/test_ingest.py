@@ -2,16 +2,29 @@
 
 import json
 import re
+import tempfile
 import threading
 import time
+from dataclasses import replace
+from itertools import chain
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scorescope import ingest
 from scorescope.blocked import read_blocked_csv
 from scorescope.errors import InputError
 from scorescope.ingest import (
+    MALFORMED_LINE_LIMIT,
+    ScoreColumns,
     ScoreRecord,
+    _MalformedLine,
+    _OutOfRange,
+    parse_score_line,
     read_log_lines,
     read_paired,
     read_score_log,
@@ -104,11 +117,85 @@ class TestScoreLog:
         assert log.skipped_lines == [(6, "invalid UTF-8")]
 
 
+    def test_huge_integer_score_is_skipped(self, tmp_path):
+        good = [f'{{"model_id":"m1","ts":{i},"score":0.5}}' for i in range(20)]
+        path = write_lines(tmp_path / "log.jsonl", good + ['{"model_id":"m1","ts":20,"score":1' + "0" * 400 + "}"])
+        log = read_score_log(path)
+        assert len(log) == 20
+        assert log.skipped_lines == [(21, "score must be a finite number")]
+
+    def test_undecodable_json_is_skipped_not_raised(self, tmp_path):
+        good = [f'{{"model_id":"m1","ts":{i},"score":0.5}}' for i in range(20)]
+        digits = '{"model_id":"m1","ts":0,"score":1' + "0" * 5000 + "}"  # past the int digit limit
+        path = write_lines(tmp_path / "log.jsonl", good + [digits, "[" * 100_000])
+        log = read_score_log(path)
+        assert [line_no for line_no, _ in log.skipped_lines] == [21, 22]
+        assert all(reason.startswith("invalid JSON: ") for _, reason in log.skipped_lines)
+
+    def test_timestamp_past_int64_still_reads(self, tmp_path):
+        lines = ['{"model_id":"m1","ts":%d,"score":0.5}' % ts for ts in (0, 2**63, 10**30)]
+        log = read_score_log(write_lines(tmp_path / "log.jsonl", lines))
+        assert [r.ts for r in log.records] == [0, 2**63, 10**30]
+        assert log.columns.ts.dtype == object
+
+    def test_columns_and_cached_record_view(self, tmp_path):
+        lines = [
+            '{"model_id":"m2","ts":0,"score":0.25,"class":"b","label":1}',
+            '{"model_id":"m1","ts":1,"score":0.5,"entity_id":"e1"}',
+            '{"model_id":"m2","ts":2,"score":0.75,"class":"a","label":0}',
+        ]
+        log = read_score_log(write_lines(tmp_path / "log.jsonl", lines))
+        columns = log.columns
+        assert (columns.model_ids, columns.model.tolist()) == (("m1", "m2"), [1, 0, 1])
+        assert (columns.class_ids, columns.class_code.tolist()) == (("a", "b"), [1, -1, 0])
+        assert columns.model.dtype == columns.class_code.dtype == np.int32
+        assert columns.ts.dtype == np.int64 and columns.score.dtype == np.float64
+        assert columns.entity_id.tolist() == [None, "e1", None] and columns.label.tolist() == [1, -1, 0]
+        assert log.records is log.records
+        assert log.records[0] == ScoreRecord("m2", 0, 0.25, None, "b", 1)
+        assert ScoreColumns.from_records(log.records) == columns
+
+    def test_batches_merge_code_tables(self, tmp_path):
+        lines = ['{"model_id":"m%d","ts":%d,"score":0.5,"class":"c%d"}' % (9 - i % 4, i, i % 3) for i in range(40)]
+        path = write_lines(tmp_path / "log.jsonl", lines)
+        with mock.patch.object(ingest, "_BATCH_BYTES", 100):  # a few lines per batch
+            log = read_score_log(path)
+        assert log.columns.model_ids == ("m6", "m7", "m8", "m9")
+        assert ScoreColumns.from_records(log.records) == log.columns
+        assert [r.model_id for r in log.records] == [f"m{9 - i % 4}" for i in range(40)]
+
+    def test_take_keeps_the_code_tables(self, tmp_path):
+        lines = ['{"model_id":"m%d","ts":%d,"score":0.5}' % (i % 2, i) for i in range(6)]
+        columns = read_score_log(write_lines(tmp_path / "log.jsonl", lines)).columns
+        picked = columns.take(columns.model == 1)
+        assert picked.model_ids == ("m0", "m1") and picked.ts.tolist() == [1, 3, 5]
+
+
+class TestArrayDataclassEquality:
+    def test_readers_compare_by_value(self, tmp_path):
+        table = write_lines(tmp_path / "t.csv", ["a,y", "1.5,1", "2.5,0"])
+        assert read_tabular(table, "y") == read_tabular(table, "y")
+        assert read_tabular(table, "y") != read_tabular(write_lines(tmp_path / "u.csv", ["a,y", "1.5,1"]), "y")
+        pairs = write_lines(tmp_path / "p.csv", ["entity_id,pred_a,pred_b,label", "e1,0.9,0.1,1", "e2,0.2,0.3,"])
+        assert read_paired(pairs) == read_paired(pairs)
+        other = read_paired(pairs)
+        other.pred_b[0] = 0.5
+        assert read_paired(pairs) != other
+        log = write_lines(tmp_path / "log.jsonl", ['{"model_id":"m1","ts":0,"score":0.7}'])
+        assert read_score_log(log).columns == read_score_log(log).columns
+        assert read_score_log(log) == read_score_log(log)
+
+    def test_different_types_are_unequal(self, tmp_path):
+        table = write_lines(tmp_path / "t.csv", ["a,y", "1.5,1"])
+        assert read_tabular(table, "y") != "not a dataset"
+
+
 class TestFollow:
     def test_incomplete_line_waits_for_its_newline(self, tmp_path):
         path = tmp_path / "live.jsonl"
         path.write_bytes(b"first\nsec")
-        lines = read_log_lines(path, follow=True, poll_interval=0.01)
+        batches = read_log_lines(path, follow=True, poll_interval=0.01)
+        lines = chain.from_iterable(batches)
         assert next(lines) == b"first\n"
 
         def finish_line():
@@ -121,12 +208,13 @@ class TestFollow:
         assert next(lines) == b"second\n"
         writer.join(timeout=5)
         assert not writer.is_alive()
-        lines.close()
+        batches.close()
 
     def test_truncated_log_is_reread_from_the_top(self, tmp_path):
         path = tmp_path / "live.jsonl"
         path.write_bytes(b"old 1\nold 2\nhalf")
-        lines = read_log_lines(path, follow=True, poll_interval=0.01)
+        batches = read_log_lines(path, follow=True, poll_interval=0.01)
+        lines = chain.from_iterable(batches)
         assert [next(lines), next(lines)] == [b"old 1\n", b"old 2\n"]
 
         def truncate_then_append():
@@ -146,13 +234,14 @@ class TestFollow:
         reader.join(timeout=5)
         assert not writer.is_alive() and not reader.is_alive()
         assert got == [b"new 1\n", b"new 2\n"]  # the held-back "half" is dropped
-        lines.close()
+        batches.close()
 
 
     def test_rotated_log_is_followed_to_the_new_file(self, tmp_path):
         path = tmp_path / "live.jsonl"
         path.write_bytes(b"old 1\nold 2\nhalf")
-        lines = read_log_lines(path, follow=True, poll_interval=0.01)
+        batches = read_log_lines(path, follow=True, poll_interval=0.01)
+        lines = chain.from_iterable(batches)
         assert [next(lines), next(lines)] == [b"old 1\n", b"old 2\n"]
 
         def rotate():
@@ -170,7 +259,7 @@ class TestFollow:
         reader.join(timeout=5)
         assert not writer.is_alive() and not reader.is_alive()
         assert got == [b"new 1\n", b"new 2\n"]  # the held-back "half" of the old file is dropped
-        lines.close()
+        batches.close()
 
 
 class TestPaired:
@@ -284,3 +373,111 @@ def test_non_utf8_csv_is_an_input_error(tmp_path, read, header):
     path.write_bytes(header + b"\ncaf\xe9,1\n")
     with pytest.raises(InputError, match=re.escape(f"{path}: not UTF-8")):
         read(path)
+
+
+def _oracle(path, data: bytes, rescale: bool):
+    """read_score_log as ``parse_score_line`` on each line: (records, skipped lines) or the InputError text."""
+    parts = data.split(b"\n")
+    records, skipped = [], []
+    for line_no, raw in enumerate([p + b"\n" for p in parts[:-1]] + [parts[-1]] * bool(parts[-1]), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            skipped.append((line_no, "invalid UTF-8"))
+            continue
+        if not line.strip():
+            continue
+        try:
+            records.append(parse_score_line(line, allow_out_of_range=rescale))
+        except _OutOfRange as exc:
+            return f"line {line_no}: {exc} (use rescale to min-max rescale the file)"
+        except _MalformedLine as exc:
+            skipped.append((line_no, str(exc)))
+    total = len(records) + len(skipped)
+    if len(skipped) > 1 and len(skipped) / total > MALFORMED_LINE_LIMIT:
+        return (
+            f"{path}: {len(skipped)} of {total} lines malformed "
+            f"(limit {MALFORMED_LINE_LIMIT:.0%}); first: line {skipped[0][0]}: {skipped[0][1]}"
+        )
+    if rescale and records:
+        scores = np.array([r.score for r in records], dtype=np.float64)
+        lo, hi = float(scores.min()), float(scores.max())
+        scaled = (scores - lo) / (hi - lo) if hi > lo else np.full_like(scores, 0.5)
+        records = [replace(r, score=float(s)) for r, s in zip(records, scaled)]
+    return [repr(r) for r in records], skipped
+
+
+_RECORD_LINES = st.fixed_dictionaries(
+    {
+        "model_id": st.sampled_from(["m1", "m2", "é", "\ud800", ""]),
+        "ts": st.integers(0, 2**70) | st.sampled_from([2**63 - 1, 2**63, 2**64]),
+        "score": st.floats(0, 1) | st.sampled_from([0, 1, True, False, -0.0, 1.0]),
+    },
+    optional={
+        "entity_id": st.sampled_from(["e1", "e2", None, 7]),
+        "class": st.sampled_from(["a", "b", None, ["a"]]),
+        "label": st.sampled_from([0, 1, None, True, 1.0, 2]),
+    },
+).map(lambda obj: [json.dumps(obj).encode()])
+
+_ODD_LINES = st.sampled_from(
+    [
+        # the six malformed kinds of the benchmark's logs
+        [b'{"model_id": "m0", "ts": 1, "sco'],
+        [b"[1, 2, 3]"],
+        [b'{"ts": 5, "score": 0.5}'],
+        [b'{"model_id": "m1", "ts": -3, "score": 0.5}'],
+        [b'{"model_id": "m1", "ts": 7, "score": "0.5"}'],
+        [b'{"model_id": "m1", "ts": 9, "score": 0.5, "label": 2}'],
+        # blank, and only Unicode whitespace
+        [b""], [b"   "], [b"\r"], [b"\x0c"], ["\x85".encode()], ["\u2028\u3000".encode()],
+        # not UTF-8, and an encoded lone surrogate
+        [b"\xff\xfe"],
+        [b'{"model_id": "m\xff", "ts": 0, "score": 0.5}'],
+        [b"\xed\xa0\x80"],
+        [b'{"model_id": "\xed\xa0\x80", "ts": 0, "score": 0.5}'],
+        # non-finite and out-of-range scores
+        [b'{"model_id": "m1", "ts": 0, "score": NaN}'],
+        [b'{"model_id": "m1", "ts": 0, "score": Infinity}'],
+        [b'{"model_id": "m1", "ts": 0, "score": -Infinity}'],
+        [b'{"model_id": "m1", "ts": 0, "score": 1e400}'],
+        [b'{"model_id": "m1", "ts": 0, "score": 1' + b"0" * 400 + b"}"],
+        [b'{"model_id": "m1", "ts": 0, "score": 1.5}'],
+        [b'{"model_id": "m2", "ts": 0, "score": -0.25}'],
+        [b'{"model_id": "m1", "ts": 0, "score": 2}'],
+        # two objects on a line, and three lines that only decode as one array
+        [b'{"model_id": "m1", "ts": 1, "score": 0.5} {"model_id": "m1", "ts": 2, "score": 0.5}'],
+        [b'{"model_id": "m1", "ts": 1, "score": 0.5}, {"model_id": "m1", "ts": 2, "score": 0.5}'],
+        [b'{"model_id": "m", "ts": 1, "score": 0.5, "a": [[', b"]]}", b"{}],[{}"],
+        # valid only after json.loads's own whitespace rule, a BOM, a repeated key
+        [b' \t{"model_id": "m1", "ts": 3, "score": 0.25}\r'],
+        [b'{"model_id": "m1", "ts": 3, "score": 0.25}\x0c'],
+        ['\ufeff{"model_id": "m1", "ts": 3, "score": 0.25}'.encode()],
+        [b'{"model_id": "m1", "ts": 3, "score": 7.0, "score": 0.75}'],
+    ]
+)
+
+
+@given(
+    st.lists(st.one_of(_RECORD_LINES, _RECORD_LINES, _ODD_LINES), max_size=40),
+    st.booleans(),
+    st.booleans(),
+    st.integers(1, 400),
+)
+@settings(max_examples=300, deadline=None)
+def test_reader_matches_parse_score_line_line_by_line(groups, final_newline, rescale, batch_bytes):
+    data = b"\n".join(line for group in groups for line in group) + b"\n" * final_newline
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.jsonl"
+        path.write_bytes(data)
+        expected = _oracle(path, data, rescale)
+        with mock.patch.object(ingest, "_BATCH_BYTES", batch_bytes):
+            try:
+                log = read_score_log(path, rescale=rescale)
+            except InputError as exc:
+                got = str(exc)
+            else:
+                got = [repr(r) for r in log.records], log.skipped_lines
+                assert log.skipped == len(log.skipped_lines)
+                assert ScoreColumns.from_records(log.records) == log.columns
+    assert got == expected

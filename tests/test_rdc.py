@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from generators import bimodal_scores, central_scores, noise_scores, score_records, spike_scores
 from scorescope.errors import PreconditionError
+from scorescope.ingest import ScoreColumns
 from scorescope.rdc import (
     DEFAULT_DIAGNOSIS,
     DiagnosisConfig,
@@ -223,30 +224,30 @@ class TestOneVsRest:
         records = []
         for label in ("a", "b", "c"):
             records += score_records(np.full(100, 0.5), class_label=label)
-        charts = one_vs_rest(records)
+        charts = one_vs_rest(ScoreColumns.from_records(records))
         assert sorted(charts) == ["a", "b", "c"]
         assert all(chart.n == 100 for chart in charts.values())
 
     def test_single_class_matches_plain_build(self):
         scores = central_scores(500, 9)
         records = score_records(scores, class_label="only")
-        charts = one_vs_rest(records)
+        charts = one_vs_rest(ScoreColumns.from_records(records))
         assert np.array_equal(charts["only"].counts, build_rdc(scores).counts)
 
     def test_disjoint_supports_diagnose_independently(self):
         low = score_records(np.random.default_rng(1).uniform(0.0, 0.2, 300), class_label="a")
         high = score_records(np.random.default_rng(2).uniform(0.8, 1.0, 300), class_label="b")
-        charts = one_vs_rest(low + high)
+        charts = one_vs_rest(ScoreColumns.from_records(low + high))
         solo_a = diagnose(build_rdc([r.score for r in low]))
         assert diagnose(charts["a"]).pattern is solo_a.pattern
 
     def test_missing_class_label(self):
         with pytest.raises(PreconditionError, match="class label"):
-            one_vs_rest(score_records([0.5, 0.6]))
+            one_vs_rest(ScoreColumns.from_records(score_records([0.5, 0.6])))
 
     def test_charts_by_model_in_key_order(self):
         records = score_records(np.full(100, 0.5), model_id="b") + score_records(np.full(30, 0.2), model_id="a")
-        charts = charts_by(records, "model_id", 10)
+        charts = charts_by(ScoreColumns.from_records(records), "model_id", 10)
         assert list(charts) == ["a", "b"]
         assert (charts["a"].n, charts["b"].n) == (30, 100)
         assert charts["a"].bin_count == charts["b"].bin_count == 10
