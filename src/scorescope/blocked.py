@@ -159,8 +159,49 @@ def write_blocked_csv(outcomes: BlockedOutcomes, path: str | Path) -> None:
         writer.writerows(zip(variants, outcomes._converted.view(np.uint8).tolist()))
 
 
+# each row text write_blocked_csv writes, ending in \r\n, in \n or (the last
+# row) in nothing, mapped to 2 * variant index + converted flag
+_CANONICAL_ROWS = {
+    f"{variant.value},{flag}{end}".encode(): 2 * index + flag
+    for index, variant in enumerate(_VARIANTS)
+    for flag in (0, 1)
+    for end in ("\r\n", "\n", "")
+}
+_CANONICAL_HEADERS = {b"variant,converted" + end for end in (b"\r\n", b"\n", b"")}
+_BATCH_BYTES = 1 << 16  # per readlines call, so memory stays flat in the file size
+
+
 def read_blocked_csv(path: str | Path) -> BlockedOutcomes:
+    """Read ``variant,converted`` outcome rows.
+
+    A file made only of the row texts ``write_blocked_csv`` writes is mapped
+    line by line; any other file, or one that cannot be opened, is parsed as
+    CSV, which gives every error text and row number.
+    """
     path = Path(path)
+    codes = _canonical_codes(path)
+    if codes is None:
+        return _parse_blocked_csv(path)
+    packed = np.frombuffer(codes, dtype=np.uint8)
+    return BlockedOutcomes(packed >> 1, packed & 1)
+
+
+def _canonical_codes(path: Path) -> array | None:
+    """Per-row ``2 * variant + converted`` of a file of canonical rows, else None."""
+    codes = array("B")
+    try:
+        with path.open("rb") as fh:
+            if fh.readline(64) not in _CANONICAL_HEADERS:  # a longer first line is not canonical either
+                return None
+            while batch := fh.readlines(_BATCH_BYTES):
+                codes.extend(map(_CANONICAL_ROWS.__getitem__, batch))
+    except (OSError, KeyError):  # unreadable, or a row that is not canonical
+        return None
+    return codes
+
+
+def _parse_blocked_csv(path: Path) -> BlockedOutcomes:
+    """``read_blocked_csv`` through ``csv_rows``: any valid CSV, and every error with its row number."""
     rows = csv_rows(path, "outcomes CSV")
     _, header = next(rows)
     if header != ["variant", "converted"]:

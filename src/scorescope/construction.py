@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError
-from .ingest import TabularDataset
+from .ingest import TabularDataset, _ArrayFieldsEq
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,8 @@ class LogisticConfig:
 DEFAULT_LOGISTIC = LogisticConfig()
 
 
-@dataclass(frozen=True)
-class LogisticModel:
+@dataclass(frozen=True, eq=False)
+class LogisticModel(_ArrayFieldsEq):
     """Logistic regression trained on standardized features.
 
     Standardization statistics are stored so prediction accepts raw

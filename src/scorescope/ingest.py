@@ -32,6 +32,8 @@ MALFORMED_LINE_LIMIT = 0.10
 
 # bytes of complete lines read from a score log per batch
 _BATCH_BYTES = 1 << 20
+# leading bytes of a tailed log kept to notice it being rewritten in place
+_HEAD_BYTES = 256
 
 _scan = json.JSONDecoder().scan_once  # the scanner json.loads runs, at its defaults
 _JSON_SPACE = " \t\n\r"  # the whitespace json.loads allows around a value
@@ -282,20 +284,27 @@ def read_log_lines(
     finds. Without ``follow`` the file is read once to its end. With
     ``follow`` the reader never ends: it holds back an incomplete trailing
     line until the writer finishes it with a newline, and at end of file it
-    sleeps ``poll_interval`` seconds before looking again. At end of file the
-    held back line is dropped and reading starts again from the top of the
-    log when the file is found shorter than the read offset (truncated), or
-    when ``path`` names another file (rotated: renamed, and a new file
-    created under the old name), as ``tail -F`` does. A file truncated and
-    refilled past the offset between two looks is not noticed.
+    sleeps ``poll_interval`` seconds before looking again. The held back line
+    is dropped and reading starts again from the top of the log when, before
+    a read, the first bytes read from it (up to ``_HEAD_BYTES``) have changed
+    (truncated and refilled, even past the read offset), or when, at end of
+    file, the file is found shorter than the read offset (truncated) or
+    ``path`` names another file (rotated: renamed, and a new file created
+    under the old name), as ``tail -F`` does. A file refilled with the same
+    first bytes is not noticed.
     """
     try:
         while True:  # once per file found at ``path``
             with open(path, "rb") as fh:
-                pending = b""
+                pending = head = b""  # head: the file's first bytes, as read
                 while True:
+                    if follow and os.pread(fh.fileno(), len(head), 0) != head:
+                        pending = head = b""
+                        fh.seek(0)
                     batch = fh.readlines(_BATCH_BYTES)
                     if batch:
+                        if follow and len(head) < _HEAD_BYTES:
+                            head = (head + b"".join(batch[:_HEAD_BYTES]))[:_HEAD_BYTES]
                         batch[0] = pending + batch[0]
                         pending = b"" if batch[-1].endswith(b"\n") else batch.pop()
                         if batch:
@@ -305,7 +314,7 @@ def read_log_lines(
                             yield [pending]
                         return
                     elif os.fstat(fh.fileno()).st_size < fh.tell():
-                        pending = b""
+                        pending = head = b""
                         fh.seek(0)
                     elif _rotated(path, fh):
                         break

@@ -238,7 +238,10 @@ def watch(
     log, or else with the model's first window; a reference chart too small
     to diagnose is left out and named in ``skipped_references``. Overrides
     apply before windowing; malformed lines, out-of-range scores included,
-    are counted and skipped. ``on_alert`` sees each alert as its window
+    are counted in ``malformed_lines`` and skipped. The tailed log has no
+    malformed-line limit, unlike a log ``read_score_log`` reads whole: a
+    live tail never knows its final share of bad lines, so it keeps going
+    however many there are. ``on_alert`` sees each alert as its window
     completes. With ``follow`` the log is tailed and the call never returns.
     """
     if not 0.0 < poll_interval < math.inf:

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import PreconditionError
-from .ingest import ScoreColumns
+from .ingest import ScoreColumns, _ArrayFieldsEq
 
 
 class RdcPattern(enum.Enum):
@@ -28,8 +29,8 @@ class RdcPattern(enum.Enum):
     INDETERMINATE = "INDETERMINATE"
 
 
-@dataclass(frozen=True)
-class Rdc:
+@dataclass(frozen=True, eq=False)
+class Rdc(_ArrayFieldsEq):
     """Histogram of model scores over [0, 1]."""
 
     edges: np.ndarray  # bin_count + 1 ascending edges, edges[0] = 0, edges[-1] = 1
@@ -86,8 +87,8 @@ def log_view(rdc: Rdc) -> np.ndarray:
     return np.log1p(rdc.counts.astype(np.float64))
 
 
-@dataclass(frozen=True)
-class SmoothedRdc:
+@dataclass(frozen=True, eq=False)
+class SmoothedRdc(_ArrayFieldsEq):
     """Moving-average view of an Rdc plus how far the raw shape sits from it.
 
     ``roughness`` is the L1 residual sum |f_i - heights_i| between the raw
@@ -116,10 +117,11 @@ def smooth(rdc: Rdc, window: int = 5) -> SmoothedRdc:
         return SmoothedRdc(rdc, window, freqs, 0.0)
     half = window // 2
     k = rdc.bin_count
-    # per-bin slice means (not a cumsum sweep): windows holding the same
-    # values produce bit-identical heights, which mode plateaus rely on
+    # per-window means (not a cumsum sweep): windows holding the same values
+    # produce bit-identical heights, which mode plateaus rely on
     averaged = np.empty(k)
-    for i in range(k):
+    averaged[half : k - half] = sliding_window_view(freqs, window).mean(axis=1)
+    for i in (*range(half), *range(k - half, k)):  # truncated windows at the edges
         averaged[i] = freqs[max(i - half, 0) : min(i + half + 1, k)].mean()
     heights = averaged / averaged.sum()
     roughness = float(np.abs(freqs - heights).sum())
@@ -138,7 +140,7 @@ class Mode:
     basin: tuple[int, int]  # inclusive bin range of that basin
 
 
-def _plateau_maxima(h: np.ndarray) -> list[int]:
+def _plateau_maxima(h: list[float]) -> list[int]:
     """Indices of local maxima; plateaus collapse to their center bin.
 
     Boundary bins count as maxima when the inward neighbor is lower, so the
@@ -159,23 +161,21 @@ def _plateau_maxima(h: np.ndarray) -> list[int]:
     return out
 
 
-def _prominence(h: np.ndarray, peak: int) -> float:
+def _prominence(h: list[float], peak: int) -> float:
     """Topographic prominence: height above the highest saddle toward a
     strictly higher point, with the array boundary acting as a sea wall."""
-    bases: list[float] = []
-    for step in (-1, 1):
-        i = peak + step
-        base = None
-        while 0 <= i < len(h):
-            if h[i] > h[peak]:
-                break
-            base = h[i] if base is None else min(base, h[i])
-            i += step
-        if base is not None:
-            bases.append(base)
+    top = h[peak]
+    left = peak - 1
+    while left >= 0 and h[left] <= top:
+        left -= 1
+    right, k = peak + 1, len(h)
+    while right < k and h[right] <= top:
+        right += 1
+    # the lowest point on each side before a higher one (or the boundary)
+    bases = [min(side) for side in (h[left + 1 : peak], h[peak + 1 : right]) if side]
     if not bases:
-        return float(h[peak])
-    return float(h[peak] - max(bases))
+        return top
+    return top - max(bases)
 
 
 def detect_modes(smoothed: SmoothedRdc, prominence_min: float = 0.10) -> tuple[Mode, ...]:
@@ -187,12 +187,13 @@ def detect_modes(smoothed: SmoothedRdc, prominence_min: float = 0.10) -> tuple[M
     neighbors; the basin mass is what ``diagnose`` ranks modes by.
     """
     h = smoothed.heights
+    heights = h.tolist()  # the walks below index one float at a time
     centers = smoothed.base.centers
     cutoff = prominence_min * float(h.max())
 
     peaks: list[tuple[int, float]] = []
-    for p in _plateau_maxima(h):
-        prom = _prominence(h, p)
+    for p in _plateau_maxima(heights):
+        prom = _prominence(heights, p)
         if prom >= cutoff and prom > 0.0:
             peaks.append((p, prom))
 
@@ -207,7 +208,7 @@ def detect_modes(smoothed: SmoothedRdc, prominence_min: float = 0.10) -> tuple[M
         start = 0 if idx == 0 else bounds[idx - 1] + 1
         end = len(h) - 1 if idx == len(peaks) - 1 else bounds[idx]
         mass = float(h[start : end + 1].sum())
-        modes.append(Mode(p, float(centers[p]), float(h[p]), prom, mass, (start, end)))
+        modes.append(Mode(p, float(centers[p]), heights[p], prom, mass, (start, end)))
     return tuple(modes)
 
 

@@ -1,10 +1,15 @@
 """Blocked-experiment simulation and effect disentanglement."""
 
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scorescope import blocked
 from scorescope.blocked import (
     BlockedDesign,
     BlockedOutcomes,
@@ -146,3 +151,80 @@ class TestCsvRoundTrip:
         path.write_text("variant,converted\nbase,1\n\nv1,2\n", encoding="utf-8")
         with pytest.raises(InputError, match="^row 4: converted"):
             read_blocked_csv(path)
+
+    def test_written_file_takes_the_fast_path(self, tmp_path):
+        outcomes = simulate_blocked(BlockedSimConfig(5000, 0.2, -0.01, 0.05, seed=4))
+        path = tmp_path / "outcomes.csv"
+        write_blocked_csv(outcomes, path)
+        with mock.patch.object(blocked, "_parse_blocked_csv", side_effect=AssertionError("CSV parser used")):
+            back = read_blocked_csv(path)
+        assert np.array_equal(back._variants, outcomes._variants)
+        assert np.array_equal(back._converted, outcomes._converted)
+
+    def test_missing_file_is_an_input_error(self, tmp_path):
+        with pytest.raises(InputError, match="^cannot read outcomes CSV"):
+            read_blocked_csv(tmp_path / "absent.csv")
+
+
+_CANONICAL_ROWS = st.sampled_from([b"base,0", b"base,1", b"v1,0", b"v1,1", b"v2,0", b"v2,1"])
+_ODD_ROW_GROUPS = [
+    [b"", b"  ", b","],
+    [b"BASE,1", b"V2,0", b" v1 , 1 ", b"v1,1 "],
+    [b'"base","0"', b'"v1",1', b'"v2\n",1'],
+    [b"base,1,", b"v2,0,x", b"base"],
+    [b"v3,1", b"base,2", b"base,"],
+    [b"base,1\r", b"v1\r,0", b"\xff,1", b"caf\xe9,0", b"\xef\xbb\xbfbase,0"],
+]
+_OTHER_ROWS = st.one_of(*map(st.sampled_from, _ODD_ROW_GROUPS))
+_HEADER = b"variant,converted"
+# the canonical header three times in four
+_HEADERS = st.just(_HEADER) | st.just(_HEADER) | st.just(_HEADER) | st.sampled_from(
+    [
+        b"",
+        b"\xef\xbb\xbfvariant,converted",
+        b"Variant,converted",
+        b" variant , converted",
+        b'"variant","converted"',
+        b"variant,converted,",
+        b"variant;converted",
+        b"variant,clicked",
+        b"variant,converted\r",
+        b"variant,conv\xe9rted",
+    ]
+)
+
+
+def _read_or_error(read, path):
+    try:
+        outcomes = read(path)
+    except InputError as exc:
+        return str(exc)
+    return outcomes._variants.tolist(), outcomes._converted.tolist()
+
+
+@given(
+    st.data(),
+    _HEADERS,
+    st.lists(_CANONICAL_ROWS, max_size=40),
+    st.lists(_OTHER_ROWS, max_size=2),
+    st.booleans(),
+)
+@settings(max_examples=500, deadline=None)
+def test_reader_matches_the_csv_parser(data, header, canonical, other, final_newline):
+    rows = data.draw(st.permutations(canonical + other))
+    endings = data.draw(st.lists(st.sampled_from([b"\n", b"\r\n"]), min_size=len(rows) + 1, max_size=len(rows) + 1))
+    text = b"".join(line + end for line, end in zip([header, *rows], endings))
+    if not final_newline:
+        text = text[: -len(endings[-1])]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "outcomes.csv"
+        path.write_bytes(text)
+        assert _read_or_error(read_blocked_csv, path) == _read_or_error(blocked._parse_blocked_csv, path)
+
+
+@pytest.mark.parametrize("odd", [row for group in _ODD_ROW_GROUPS for row in group])
+@pytest.mark.parametrize("end", [b"\n", b"\r\n"])
+def test_one_odd_row_among_canonical_rows_reads_as_csv(tmp_path, odd, end):
+    path = tmp_path / "outcomes.csv"
+    path.write_bytes(end.join([_HEADER, b"base,1", odd, b"v2,0", b"v1,1"]))
+    assert _read_or_error(read_blocked_csv, path) == _read_or_error(blocked._parse_blocked_csv, path)

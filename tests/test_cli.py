@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from generators import bimodal_scores, central_scores, median_split_availability, score_records
 from scorescope.cli import main
+from scorescope.errors import InputError
 from scorescope.ingest import read_score_log, write_score_log
 from scorescope.rdc import build_rdc
 
@@ -491,6 +492,20 @@ class TestWatchCommand:
         assert results["malformed_lines"] == 1
         assert results["windows"] == 2
         assert results["dropped"] == {}
+
+    def test_tail_has_no_malformed_line_limit(self, tmp_path, capsys):
+        stream = write_log(tmp_path / "s.jsonl", bimodal_scores(1200, 6))
+        bad = [b"not json", b'{"model_id":"m1","ts":0}', b"\xff"] * 100
+        with open(stream, "ab") as fh:
+            fh.write(b"".join(line + b"\n" for line in bad))  # 300 of 1500 lines: 20%
+        with pytest.raises(InputError, match="malformed"):
+            read_score_log(stream)  # the same log read whole is rejected above 10%
+        report_path = tmp_path / "r.json"
+        code, _, _ = run(["watch", "--input", stream, "--once", "--output", str(report_path)], capsys)
+        assert code == 0
+        results = json.loads(report_path.read_text(encoding="utf-8"))["results"]
+        assert results["malformed_lines"] == 300
+        assert results["windows"] == 2
 
     def test_small_reference_model_falls_back_to_first_window(self, tmp_path, capsys):
         reference = tmp_path / "ref.jsonl"

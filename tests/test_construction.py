@@ -1,5 +1,7 @@
 """Class balance, the internal learners, learnability gap, and the bias probe."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -132,6 +134,13 @@ class TestLogistic:
         ds = null_dataset(80, seed=5)
         m1, m2 = train_logistic(ds), train_logistic(ds)
         assert np.array_equal(m1.weights, m2.weights) and m1.bias == m2.bias
+
+    def test_models_compare_by_value(self):
+        ds = null_dataset(80, seed=5)
+        model = train_logistic(ds)
+        assert model == train_logistic(ds)
+        assert model != train_logistic(null_dataset(80, seed=6))
+        assert model != replace(model, feature_stds=model.feature_stds * 2)
 
 
 def _reference_fit(xb, ys, logistic):

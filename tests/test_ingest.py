@@ -261,6 +261,26 @@ class TestFollow:
         assert got == [b"new 1\n", b"new 2\n"]  # the held-back "half" of the old file is dropped
         batches.close()
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            # refilled past the old read offset: a read from that offset would find lines
+            lambda path: path.write_bytes(b"newer 1\nnewer 2\nnewer 3\n"),
+            lambda path: path.write_bytes(b"new 1\n"),  # truncated below the read offset
+            lambda path: (path.rename(path.with_suffix(".1")), path.write_bytes(b"new 1\n")),  # rotated
+        ],
+        ids=["refilled-past-offset", "truncated", "rotated"],
+    )
+    def test_rewritten_log_is_reread_from_the_top(self, tmp_path, change):
+        path = tmp_path / "live.jsonl"
+        path.write_bytes(b"old 1\nold 2\nhalf")
+        batches = read_log_lines(path, follow=True, poll_interval=0.01)
+        assert next(batches) == [b"old 1\n", b"old 2\n"]
+        change(path)  # between two polls, while the reader holds "half" back
+        new = path.read_bytes()
+        assert next(batches) == new.splitlines(keepends=True)
+        batches.close()
+
 
 class TestPaired:
     def test_basic_row(self, tmp_path):

@@ -47,6 +47,13 @@ class TestWindowing:
         assert len(results) == 1
         assert dropped == {"m1": 50}
 
+    def test_window_results_compare_by_value(self):
+        records = score_records(bimodal_scores(2000, 0))
+        first, _ = windowed_rdcs(records, MonitorConfig(window_size=1000))
+        again, _ = windowed_rdcs(records, MonitorConfig(window_size=1000))
+        assert first == again
+        assert first[0] != first[1]  # same model, config and shape: only the chart arrays differ
+
     def test_models_window_independently(self):
         a = score_records(np.random.default_rng(2).random(1500), model_id="a")
         b = score_records(np.random.default_rng(3).random(700), model_id="b")

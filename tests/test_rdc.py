@@ -1,6 +1,7 @@
 """Chart construction, smoothing, mode structure and the pathology rules."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ from hypothesis import strategies as st
 
 from generators import bimodal_scores, central_scores, noise_scores, score_records, spike_scores
 from scorescope.errors import PreconditionError
+from scorescope import rdc as rdc_module
 from scorescope.ingest import ScoreColumns
 from scorescope.rdc import (
     DEFAULT_DIAGNOSIS,
     DiagnosisConfig,
+    Mode,
     Rdc,
     RdcPattern,
+    SmoothedRdc,
     build_rdc,
     charts_by,
     detect_modes,
@@ -323,3 +327,127 @@ def test_config_thresholds_are_overridable():
     config = DiagnosisConfig(min_samples=10)
     diag = diagnose(build_rdc([0.5] * 50), config)
     assert diag.pattern in (RdcPattern.CENTRAL_UNIMODAL, RdcPattern.EXTREME_SPIKE)
+
+
+class TestArrayFieldsCompareByValue:
+    def test_equal_charts_compare_equal(self):
+        assert build_rdc(np.full(10, 0.5)) == build_rdc(np.full(10, 0.5))
+        assert smooth(build_rdc(np.full(10, 0.5)), 3) == smooth(build_rdc(np.full(10, 0.5)), 3)
+
+    def test_one_differing_array_compares_unequal(self):
+        a = Rdc.from_counts([1, 2, 3, 4])
+        assert a != Rdc(a.edges, np.array([1, 2, 4, 3]), a.n)
+        assert a != Rdc(np.array([0.0, 0.3, 0.5, 0.75, 1.0]), a.counts, a.n)
+        sm = smooth(a, 3)
+        assert sm != SmoothedRdc(a, 3, sm.heights[::-1], sm.roughness)
+        assert sm != smooth(Rdc.from_counts([1, 2, 4, 3]), 3)
+
+
+def _reference_smooth(rdc: Rdc, window: int) -> SmoothedRdc:
+    """``smooth`` as one slice mean per bin, the definition the vectorised form must match bit for bit."""
+    freqs = rdc.frequencies
+    if window == 1:
+        return SmoothedRdc(rdc, window, freqs, 0.0)
+    half, k = window // 2, rdc.bin_count
+    averaged = np.empty(k)
+    for i in range(k):
+        averaged[i] = freqs[max(i - half, 0) : min(i + half + 1, k)].mean()
+    heights = averaged / averaged.sum()
+    return SmoothedRdc(rdc, window, heights, float(np.abs(freqs - heights).sum()))
+
+
+def _reference_plateau_maxima(h: np.ndarray) -> list[int]:
+    out, k, i = [], len(h), 0
+    while i < k:
+        j = i
+        while j + 1 < k and h[j + 1] == h[i]:
+            j += 1
+        if (i == 0 or h[i - 1] < h[i]) and (j == k - 1 or h[j + 1] < h[i]):
+            out.append((i + j) // 2)
+        i = j + 1
+    return out
+
+
+def _reference_prominence(h: np.ndarray, peak: int) -> float:
+    bases = []
+    for step in (-1, 1):
+        i, base = peak + step, None
+        while 0 <= i < len(h):
+            if h[i] > h[peak]:
+                break
+            base = h[i] if base is None else min(base, h[i])
+            i += step
+        if base is not None:
+            bases.append(base)
+    return float(h[peak]) if not bases else float(h[peak] - max(bases))
+
+
+def _reference_detect_modes(smoothed: SmoothedRdc, prominence_min: float = 0.10) -> tuple[Mode, ...]:
+    """``detect_modes`` walking the ndarray of heights one element at a time."""
+    h, centers = smoothed.heights, smoothed.base.centers
+    cutoff = prominence_min * float(h.max())
+    peaks = []
+    for p in _reference_plateau_maxima(h):
+        prom = _reference_prominence(h, p)
+        if prom >= cutoff and prom > 0.0:
+            peaks.append((p, prom))
+    bounds = [a + 1 + int(np.argmin(h[a + 1 : b])) for (a, _), (b, _) in zip(peaks, peaks[1:])]
+    modes = []
+    for idx, (p, prom) in enumerate(peaks):
+        start = 0 if idx == 0 else bounds[idx - 1] + 1
+        end = len(h) - 1 if idx == len(peaks) - 1 else bounds[idx]
+        modes.append(Mode(p, float(centers[p]), float(h[p]), prom, float(h[start : end + 1].sum()), (start, end)))
+    return tuple(modes)
+
+
+@st.composite
+def run_counts(draw, max_bins=200):
+    """Per-bin counts of 2..max_bins bins built from runs, so plateaus and zero stretches are common."""
+    bins = draw(st.integers(2, max_bins))
+    runs = draw(
+        st.lists(
+            st.tuples(st.integers(0, 40) | st.just(0) | st.integers(0, 10**6), st.integers(1, 30)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    counts = [value for value, length in runs for _ in range(length)][:bins]
+    counts += [0] * (bins - len(counts))
+    if not any(counts):
+        counts[draw(st.integers(0, bins - 1))] = 1
+    return counts
+
+
+def odd_windows(bins: int):
+    """Odd windows 1..31 that fit in ``bins``."""
+    return st.integers(0, min(15, (bins - 1) // 2)).map(lambda k: 2 * k + 1)
+
+
+class TestVectorisedAgainstReference:
+    @given(run_counts(), st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_smooth_matches_slice_means_bit_for_bit(self, counts, data):
+        rdc = Rdc.from_counts(counts)
+        window = data.draw(odd_windows(rdc.bin_count))
+        got, want = smooth(rdc, window), _reference_smooth(rdc, window)
+        assert np.array_equal(got.heights, want.heights)
+        assert got.roughness == want.roughness
+
+    @given(run_counts(), st.data(), st.sampled_from([0.0, 0.05, 0.10, 0.3]))
+    @settings(max_examples=300, deadline=None)
+    def test_modes_and_diagnosis_match_the_element_walk(self, counts, data, prominence_min):
+        rdc = Rdc.from_counts(counts)
+        window = data.draw(odd_windows(rdc.bin_count))
+        smoothed = smooth(rdc, window)
+        assert repr(detect_modes(smoothed, prominence_min)) == repr(_reference_detect_modes(smoothed, prominence_min))
+        config = DiagnosisConfig(window=window, prominence_min=prominence_min, min_samples=1)
+        got = diagnose(rdc, config)
+        with mock.patch.object(rdc_module, "smooth", _reference_smooth), mock.patch.object(
+            rdc_module, "detect_modes", _reference_detect_modes
+        ):
+            want = diagnose(rdc, config)
+        assert (got.pattern, repr(got.evidence), got.threshold_band) == (
+            want.pattern,
+            repr(want.evidence),
+            want.threshold_band,
+        )
