@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,8 +38,8 @@ class BlockedDesign:
     allocation: tuple[float, float, float] = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
     def __post_init__(self) -> None:
-        if len(self.allocation) != 3 or any(a < 0.0 for a in self.allocation):
-            raise PreconditionError("allocation needs three non-negative proportions")
+        if len(self.allocation) != 3 or not all(math.isfinite(a) and a >= 0.0 for a in self.allocation):
+            raise PreconditionError("allocation needs three finite non-negative proportions")
         if abs(sum(self.allocation) - 1.0) > 1e-12:
             raise PreconditionError("allocation must sum to 1")
 

@@ -15,8 +15,7 @@ import os
 import sys
 import time
 from array import array
-from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Literal, Sequence
 
@@ -146,23 +145,6 @@ class ScoreColumns(_ArrayFieldsEq):
             label=self.label[rows],
         )
 
-    @cached_property
-    def records(self) -> list[ScoreRecord]:
-        """The columns as ScoreRecords, built on first use."""
-        models, classes = self.model_ids, self.class_ids
-        rows = zip(
-            self.model.tolist(),
-            self.ts.tolist(),
-            self.score.tolist(),
-            self.entity_id.tolist(),
-            self.class_code.tolist(),
-            self.label.tolist(),
-        )
-        return [
-            ScoreRecord(models[m], ts, score, entity, classes[c] if c >= 0 else None, label if label >= 0 else None)
-            for m, ts, score, entity, c, label in rows
-        ]
-
 
 def _row(r: ScoreRecord) -> tuple:
     return r.model_id, r.ts, r.score, r.entity_id, r.class_label, -1 if r.true_label is None else r.true_label
@@ -199,20 +181,14 @@ def _score_columns(rows: list[tuple]) -> ScoreColumns:
 
 @dataclass
 class ScoreLog:
-    """Parsed score log: validated records as columns plus skip bookkeeping."""
+    """Parsed score log: validated records as columns plus the skipped lines."""
 
     columns: ScoreColumns
-    skipped: int = 0
-    skipped_lines: list[tuple[int, str]] = field(default_factory=list)
-    rescaled: bool = False
+    skipped_lines: list[tuple[int, str]]  # (line_no, reason), in file order
 
     @property
-    def records(self) -> list[ScoreRecord]:
-        """The records as ScoreRecords, built on first use and kept."""
-        return self.columns.records
-
-    def __iter__(self):
-        return iter(self.records)
+    def skipped(self) -> int:
+        return len(self.skipped_lines)
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -416,7 +392,7 @@ def read_score_log(path: str | Path, *, rescale: bool = False) -> ScoreLog:
         )
     if rescale and len(columns):
         columns = replace(columns, score=_rescaled(columns.score))
-    return ScoreLog(columns, skipped=len(skipped), skipped_lines=skipped, rescaled=rescale)
+    return ScoreLog(columns, skipped)
 
 
 def _rescaled(scores: np.ndarray) -> np.ndarray:
@@ -443,9 +419,11 @@ def write_score_log(records: Iterable[ScoreRecord], path: str | Path) -> None:
 
 def csv_rows(path: str | Path, kind: str) -> Iterator[tuple[int, list[str]]]:
     """Lazily yield a CSV file's stripped header as ``(1, header)``, then
-    ``(row_no, cells)`` for each non-blank row, numbered as in the file."""
+    ``(row_no, cells)`` for each non-blank row, numbered as in the file.
+
+    A UTF-8 byte-order mark at the start, as spreadsheet exports write, is dropped."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:

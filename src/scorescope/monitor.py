@@ -14,8 +14,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .errors import PreconditionError
-from .ingest import ScoreRecord, parse_score_lines, read_log_lines, read_score_log
+from .ingest import ScoreColumns, ScoreRecord, parse_score_lines, read_log_lines, read_score_log
 from .rdc import DEFAULT_DIAGNOSIS, DiagnosisConfig, Rdc, RdcDiagnosis, RdcPattern, build_rdc, charts_by, diagnose
 from .rdc import diagnose_or_skip, rdc_distance
 
@@ -100,7 +102,7 @@ def check_drift(
 
 
 class WindowedMonitor:
-    """Incremental per-model windowing; feed records, collect window results.
+    """Incremental per-model windowing; feed scores, collect window results.
 
     Windows tumble every ``config.window_size`` records per model. On
     ``finish`` a trailing partial window is still emitted (flagged) when it
@@ -121,15 +123,15 @@ class WindowedMonitor:
         rdc = build_rdc(scores, self.config.diagnosis.bins)
         return WindowResult(model_id, index, rdc, diagnose(rdc, self.config.diagnosis), partial)
 
-    def feed(self, record: ScoreRecord) -> list[WindowResult]:
-        """Add one record; returns the windows it completed (0 or 1)."""
+    def feed(self, model_id: str, score: float) -> list[WindowResult]:
+        """Add one record's score; returns the windows it completed (0 or 1)."""
         if self._finished:
             raise PreconditionError("monitor already finished")
-        buf = self._buffers.setdefault(record.model_id, [])
-        buf.append(record.score)
+        buf = self._buffers.setdefault(model_id, [])
+        buf.append(score)
         if len(buf) >= self.config.window_size:
-            self._buffers[record.model_id] = []
-            return [self._emit(record.model_id, buf, partial=False)]
+            self._buffers[model_id] = []
+            return [self._emit(model_id, buf, partial=False)]
         return []
 
     def finish(self) -> list[WindowResult]:
@@ -161,7 +163,7 @@ def windowed_rdcs(
     monitor = WindowedMonitor(config)
     results: list[WindowResult] = []
     for record in records:
-        results.extend(monitor.feed(record))
+        results.extend(monitor.feed(record.model_id, record.score))
     results.extend(monitor.finish())
     return results, monitor.dropped
 
@@ -180,32 +182,25 @@ class OverrideRule:
         if self.model_id is None and self.entity_id is None:
             raise PreconditionError("a rule must match on model_id or entity_id")
 
-    def matches(self, record: ScoreRecord) -> bool:
-        if self.model_id is not None and record.model_id != self.model_id:
-            return False
-        if self.entity_id is not None and record.entity_id != self.entity_id:
-            return False
-        return True
 
+def apply_overrides(columns: ScoreColumns, rules: Sequence[OverrideRule]) -> tuple[ScoreColumns, int]:
+    """Force each record's score to that of the first rule it matches.
 
-def apply_overrides(
-    records: Iterable[ScoreRecord], rules: Sequence[OverrideRule]
-) -> tuple[list[ScoreRecord], int]:
-    """Apply the first matching rule to each record; order and count preserved.
-
-    Returns the transformed records and how many were overridden.
+    Returns the columns with the forced scores (every other column as it
+    was) and how many records were overridden.
     """
-    out: list[ScoreRecord] = []
-    overridden = 0
-    for record in records:
-        for rule in rules:
-            if rule.matches(record):
-                out.append(replace(record, score=rule.forced_score))
-                overridden += 1
-                break
-        else:
-            out.append(record)
-    return out, overridden
+    score = columns.score.copy()
+    free = np.ones(len(columns), dtype=bool)  # records no earlier rule matched
+    for rule in rules:
+        hit = free.copy()
+        if rule.model_id is not None:
+            ids = columns.model_ids
+            hit &= columns.model == (ids.index(rule.model_id) if rule.model_id in ids else -1)  # codes are >= 0
+        if rule.entity_id is not None:
+            hit &= columns.entity_id == rule.entity_id
+        score[hit] = rule.forced_score
+        free &= ~hit
+    return replace(columns, score=score), len(columns) - int(free.sum())
 
 
 @dataclass
@@ -279,11 +274,12 @@ def watch(
 
     lines = read_log_lines(path, follow=follow, poll_interval=poll_interval)
     for batch in parse_score_lines(lines, malformed, out_of_range="skip"):
-        for record in batch.records:
-            if rules:
-                [record], overridden = apply_overrides([record], rules)
-                summary.overridden += overridden
-            for result in monitor.feed(record):
+        if rules:
+            batch, overridden = apply_overrides(batch, rules)
+            summary.overridden += overridden
+        names = batch.model_ids
+        for code, score in zip(batch.model.tolist(), batch.score.tolist()):
+            for result in monitor.feed(names[code], score):
                 handle(result)
     for result in monitor.finish():
         handle(result)

@@ -44,6 +44,13 @@ class TestDesign:
         with pytest.raises(PreconditionError):
             BlockedDesign((0.5, 0.5, 0.5))
 
+    @pytest.mark.parametrize("at", range(3))
+    def test_rejects_nan(self, at):
+        allocation = [0.5, 0.5, 0.0]
+        allocation[at] = float("nan")  # a NaN compares false both to 0 and in the sum check
+        with pytest.raises(PreconditionError, match="finite"):
+            BlockedDesign(tuple(allocation))
+
 
 class TestSimulate:
     def test_null_configuration_rates_within_three_sigma(self):
@@ -158,6 +165,17 @@ class TestCsvRoundTrip:
         write_blocked_csv(outcomes, path)
         with mock.patch.object(blocked, "_parse_blocked_csv", side_effect=AssertionError("CSV parser used")):
             back = read_blocked_csv(path)
+        assert np.array_equal(back._variants, outcomes._variants)
+        assert np.array_equal(back._converted, outcomes._converted)
+
+    def test_byte_order_mark_falls_back_to_the_csv_parser(self, tmp_path):
+        outcomes = simulate_blocked(BlockedSimConfig(300, 0.2, -0.01, 0.05, seed=5))
+        path = tmp_path / "outcomes.csv"
+        write_blocked_csv(outcomes, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())  # as spreadsheet exports write UTF-8
+        with mock.patch.object(blocked, "_parse_blocked_csv", wraps=blocked._parse_blocked_csv) as parse:
+            back = read_blocked_csv(path)
+        parse.assert_called_once_with(path)
         assert np.array_equal(back._variants, outcomes._variants)
         assert np.array_equal(back._converted, outcomes._converted)
 

@@ -413,6 +413,14 @@ class TestBlockedCommands:
         )
         assert code == 1
 
+    def test_nan_allocation_exits_two(self, capsys):
+        code, out, err = run(
+            ["blocked", "simulate", "--n-users", "10", "--base-cvr", "0.1", "--allocation", "nan,0.5,0.5"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: allocation needs three finite non-negative proportions\n"
+
     def test_impossible_rate_exits_two(self, capsys):
         code, _, _ = run(
             ["blocked", "simulate", "--n-users", "10", "--base-cvr", "0.99", "--feature-effect", "0.05"],

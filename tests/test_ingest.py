@@ -42,13 +42,13 @@ class TestScoreLog:
     def test_single_line(self, tmp_path):
         path = write_lines(tmp_path / "log.jsonl", ['{"model_id":"m1","ts":0,"score":0.7}'])
         log = read_score_log(path)
-        assert log.records == [ScoreRecord("m1", 0, 0.7)]
+        assert log.columns == ScoreColumns.from_records([ScoreRecord("m1", 0, 0.7)])
         assert log.skipped == 0
 
     def test_optional_fields(self, tmp_path):
         line = '{"model_id":"m1","ts":5,"score":0.2,"entity_id":"e9","class":"cat","label":1}'
         log = read_score_log(write_lines(tmp_path / "log.jsonl", [line]))
-        assert log.records == [ScoreRecord("m1", 5, 0.2, "e9", "cat", 1)]
+        assert log.columns == ScoreColumns.from_records([ScoreRecord("m1", 5, 0.2, "e9", "cat", 1)])
 
     def test_out_of_range_score_names_line(self, tmp_path):
         lines = ['{"model_id":"m1","ts":0,"score":0.5}', '{"model_id":"m1","ts":1,"score":1.3}']
@@ -63,7 +63,7 @@ class TestScoreLog:
         ]
         # ...three lines but only one malformed: under the skip budget
         log = read_score_log(write_lines(tmp_path / "log.jsonl", lines))
-        assert len(log.records) == 2
+        assert len(log) == 2
         assert log.skipped == 1
         assert log.skipped_lines[0][0] == 2
 
@@ -86,13 +86,12 @@ class TestScoreLog:
             '{"model_id":"m1","ts":2,"score":3.0}',
         ]
         log = read_score_log(write_lines(tmp_path / "log.jsonl", lines), rescale=True)
-        assert [r.score for r in log.records] == [0.0, 0.25, 1.0]
-        assert log.rescaled
+        assert log.columns.score.tolist() == [0.0, 0.25, 1.0]
 
     def test_rescale_constant_file_maps_to_midpoint(self, tmp_path):
         lines = ['{"model_id":"m1","ts":%d,"score":7.5}' % i for i in range(3)]
         log = read_score_log(write_lines(tmp_path / "log.jsonl", lines), rescale=True)
-        assert [r.score for r in log.records] == [0.5, 0.5, 0.5]
+        assert log.columns.score.tolist() == [0.5, 0.5, 0.5]
 
     def test_round_trip_identity(self, tmp_path):
         records = [
@@ -102,7 +101,7 @@ class TestScoreLog:
         ]
         path = tmp_path / "log.jsonl"
         write_score_log(records, path)
-        assert read_score_log(path).records == records
+        assert read_score_log(path).columns == ScoreColumns.from_records(records)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="cannot read"):
@@ -113,7 +112,7 @@ class TestScoreLog:
         path = tmp_path / "log.jsonl"
         path.write_bytes(good * 5 + b'{"model_id":"m\xff","ts":1,"score":0.5}\n' + good * 5)
         log = read_score_log(path)
-        assert len(log.records) == 10
+        assert len(log) == 10
         assert log.skipped_lines == [(6, "invalid UTF-8")]
 
 
@@ -135,10 +134,10 @@ class TestScoreLog:
     def test_timestamp_past_int64_still_reads(self, tmp_path):
         lines = ['{"model_id":"m1","ts":%d,"score":0.5}' % ts for ts in (0, 2**63, 10**30)]
         log = read_score_log(write_lines(tmp_path / "log.jsonl", lines))
-        assert [r.ts for r in log.records] == [0, 2**63, 10**30]
+        assert log.columns.ts.tolist() == [0, 2**63, 10**30]
         assert log.columns.ts.dtype == object
 
-    def test_columns_and_cached_record_view(self, tmp_path):
+    def test_columns_hold_the_records(self, tmp_path):
         lines = [
             '{"model_id":"m2","ts":0,"score":0.25,"class":"b","label":1}',
             '{"model_id":"m1","ts":1,"score":0.5,"entity_id":"e1"}',
@@ -151,9 +150,12 @@ class TestScoreLog:
         assert columns.model.dtype == columns.class_code.dtype == np.int32
         assert columns.ts.dtype == np.int64 and columns.score.dtype == np.float64
         assert columns.entity_id.tolist() == [None, "e1", None] and columns.label.tolist() == [1, -1, 0]
-        assert log.records is log.records
-        assert log.records[0] == ScoreRecord("m2", 0, 0.25, None, "b", 1)
-        assert ScoreColumns.from_records(log.records) == columns
+        expected = [
+            ScoreRecord("m2", 0, 0.25, None, "b", 1),
+            ScoreRecord("m1", 1, 0.5, "e1"),
+            ScoreRecord("m2", 2, 0.75, None, "a", 0),
+        ]
+        assert columns == ScoreColumns.from_records(expected)
 
     def test_batches_merge_code_tables(self, tmp_path):
         lines = ['{"model_id":"m%d","ts":%d,"score":0.5,"class":"c%d"}' % (9 - i % 4, i, i % 3) for i in range(40)]
@@ -161,8 +163,8 @@ class TestScoreLog:
         with mock.patch.object(ingest, "_BATCH_BYTES", 100):  # a few lines per batch
             log = read_score_log(path)
         assert log.columns.model_ids == ("m6", "m7", "m8", "m9")
-        assert ScoreColumns.from_records(log.records) == log.columns
-        assert [r.model_id for r in log.records] == [f"m{9 - i % 4}" for i in range(40)]
+        expected = [ScoreRecord(f"m{9 - i % 4}", i, 0.5, None, f"c{i % 3}") for i in range(40)]
+        assert log.columns == ScoreColumns.from_records(expected)
 
     def test_take_keeps_the_code_tables(self, tmp_path):
         lines = ['{"model_id":"m%d","ts":%d,"score":0.5}' % (i % 2, i) for i in range(6)]
@@ -377,7 +379,7 @@ def test_parsing_is_deterministic(tmp_path):
         for i in range(50)
     ]
     path = write_lines(tmp_path / "log.jsonl", lines)
-    assert read_score_log(path).records == read_score_log(path).records
+    assert read_score_log(path).columns == read_score_log(path).columns
 
 
 @pytest.mark.parametrize(
@@ -395,8 +397,23 @@ def test_non_utf8_csv_is_an_input_error(tmp_path, read, header):
         read(path)
 
 
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        (read_paired, b"entity_id,pred_a,pred_b\r\ne1,0.25,0.5\r\ne2,1,0.75\r\n"),
+        (lambda path: read_tabular(path, "x"), b"x,y\r\n0,0.25\r\n1,0.75\r\n"),
+    ],
+    ids=["read_paired", "read_tabular"],
+)
+def test_csv_byte_order_mark_is_dropped(tmp_path, read, text):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)  # as spreadsheet exports write UTF-8
+    assert read(marked) == read(plain)
+
+
 def _oracle(path, data: bytes, rescale: bool):
-    """read_score_log as ``parse_score_line`` on each line: (records, skipped lines) or the InputError text."""
+    """read_score_log as ``parse_score_line`` on each line: (columns, skipped lines) or the InputError text."""
     parts = data.split(b"\n")
     records, skipped = [], []
     for line_no, raw in enumerate([p + b"\n" for p in parts[:-1]] + [parts[-1]] * bool(parts[-1]), start=1):
@@ -424,7 +441,7 @@ def _oracle(path, data: bytes, rescale: bool):
         lo, hi = float(scores.min()), float(scores.max())
         scaled = (scores - lo) / (hi - lo) if hi > lo else np.full_like(scores, 0.5)
         records = [replace(r, score=float(s)) for r, s in zip(records, scaled)]
-    return [repr(r) for r in records], skipped
+    return ScoreColumns.from_records(records), skipped
 
 
 _RECORD_LINES = st.fixed_dictionaries(
@@ -497,7 +514,7 @@ def test_reader_matches_parse_score_line_line_by_line(groups, final_newline, res
             except InputError as exc:
                 got = str(exc)
             else:
-                got = [repr(r) for r in log.records], log.skipped_lines
-                assert log.skipped == len(log.skipped_lines)
-                assert ScoreColumns.from_records(log.records) == log.columns
+                got = log.columns, log.skipped_lines
     assert got == expected
+    if not isinstance(got, str):
+        assert got[0].score.tobytes() == expected[0].score.tobytes()  # == takes -0.0 for 0.0; the bytes do not

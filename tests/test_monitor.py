@@ -1,6 +1,6 @@
 """Windowing, drift alerts, and output overrides."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from generators import bimodal_scores, central_scores, score_records, spike_scores
 from scorescope.errors import PreconditionError
-from scorescope.ingest import ScoreRecord, write_score_log
+from scorescope.ingest import ScoreColumns, ScoreRecord, write_score_log
 from scorescope.monitor import (
     AlertKind,
     MonitorConfig,
@@ -97,7 +97,7 @@ class TestWindowing:
         monitor = WindowedMonitor(MonitorConfig(window_size=100))
         monitor.finish()
         with pytest.raises(PreconditionError):
-            monitor.feed(ScoreRecord("m1", 0, 0.5))
+            monitor.feed("m1", 0.5)
 
 
 class TestCheckDrift:
@@ -175,27 +175,27 @@ def _dummy_diag():
 
 class TestOverrides:
     def test_empty_rule_list_is_identity(self):
-        records = score_records([0.1, 0.2, 0.3])
-        out, n = apply_overrides(records, [])
-        assert out == records and n == 0
+        columns = ScoreColumns.from_records(score_records([0.1, 0.2, 0.3]))
+        out, n = apply_overrides(columns, [])
+        assert out == columns and n == 0
 
     def test_model_rule_rewrites_scores(self):
-        records = score_records([0.1, 0.2], model_id="m1") + score_records([0.3], model_id="m2")
+        columns = ScoreColumns.from_records(score_records([0.1, 0.2], model_id="m1") + score_records([0.3], model_id="m2"))
         rule = OverrideRule(0.99, model_id="m1")
-        out, n = apply_overrides(records, [rule])
-        assert [r.score for r in out] == [0.99, 0.99, 0.3]
+        out, n = apply_overrides(columns, [rule])
+        assert out.score.tolist() == [0.99, 0.99, 0.3]
         assert n == 2
 
     def test_first_matching_rule_wins(self):
-        records = score_records([0.5], model_id="m1")
+        columns = ScoreColumns.from_records(score_records([0.5], model_id="m1"))
         rules = [OverrideRule(0.2, model_id="m1"), OverrideRule(0.8, model_id="m1")]
-        out, _ = apply_overrides(records, rules)
-        assert out[0].score == 0.2
+        out, _ = apply_overrides(columns, rules)
+        assert out.score[0] == 0.2
 
     def test_entity_rule(self):
         records = [ScoreRecord("m1", 0, 0.4, entity_id="e1"), ScoreRecord("m1", 1, 0.4, entity_id="e2")]
-        out, n = apply_overrides(records, [OverrideRule(1.0, entity_id="e1")])
-        assert [r.score for r in out] == [1.0, 0.4] and n == 1
+        out, n = apply_overrides(ScoreColumns.from_records(records), [OverrideRule(1.0, entity_id="e1")])
+        assert out.score.tolist() == [1.0, 0.4] and n == 1
 
     def test_rule_requires_a_predicate(self):
         with pytest.raises(PreconditionError):
@@ -209,8 +209,54 @@ class TestOverrides:
     @settings(max_examples=40)
     def test_never_changes_count_or_order(self, rows):
         records = [ScoreRecord(m, i, s) for i, (m, s) in enumerate(rows)]
-        out, n = apply_overrides(records, [OverrideRule(0.7, model_id="m2")])
+        out, n = apply_overrides(ScoreColumns.from_records(records), [OverrideRule(0.7, model_id="m2")])
         assert len(out) == len(records)
-        assert [r.ts for r in out] == [r.ts for r in records]
-        assert [r.model_id for r in out] == [r.model_id for r in records]
+        assert out.ts.tolist() == [r.ts for r in records]
+        assert [out.model_ids[code] for code in out.model.tolist()] == [r.model_id for r in records]
         assert n == sum(1 for r in records if r.model_id == "m2")
+
+
+def _first_match(records, rules):
+    """apply_overrides record by record: each record takes the score of the first rule it matches."""
+    out, overridden = [], 0
+    for record in records:
+        for rule in rules:
+            if rule.model_id not in (None, record.model_id) or rule.entity_id not in (None, record.entity_id):
+                continue
+            out.append(replace(record, score=rule.forced_score))
+            overridden += 1
+            break
+        else:
+            out.append(record)
+    return out, overridden
+
+
+_SCORES = st.floats(0, 1) | st.just(-0.0)
+_ENTITIES = st.sampled_from([None, "", "e1", "e2"])
+_RULES = st.tuples(
+    _SCORES,
+    st.sampled_from([None, "m1", "m2", "m3", "m4", "absent"]),
+    st.sampled_from([None, "", "e1", "e2", "absent"]),
+).filter(lambda rule: rule[1:] != (None, None)).map(lambda rule: OverrideRule(*rule))
+
+
+@given(st.data(), st.lists(st.sampled_from(["m1", "m2", "m3", "m4"]), min_size=1, max_size=4, unique=True))
+@settings(max_examples=300)
+def test_override_masks_match_the_first_match_per_record(data, models):
+    record = st.builds(
+        ScoreRecord,
+        st.sampled_from(models),
+        st.integers(0, 10**6),
+        _SCORES,
+        _ENTITIES,
+        st.sampled_from([None, "a"]),
+        st.sampled_from([None, 0, 1]),
+    )
+    records = data.draw(st.lists(record, max_size=40))
+    rules = data.draw(st.lists(_RULES, max_size=4))
+    columns = ScoreColumns.from_records(records)
+    out, n = apply_overrides(columns, rules)
+    expected, expected_n = _first_match(records, rules)
+    assert out.score.tobytes() == ScoreColumns.from_records(expected).score.tobytes()  # -0.0 and every bit
+    assert n == expected_n
+    assert replace(out, score=columns.score) == columns  # every other column as it was
