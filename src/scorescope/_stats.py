@@ -6,12 +6,21 @@ import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
+from .errors import PreconditionError
+
 _STD_NORMAL = NormalDist()
 
 
 def z_quantile(p: float) -> float:
     """Inverse CDF of the standard normal distribution."""
     return _STD_NORMAL.inv_cdf(p)
+
+
+def z_critical(alpha: float) -> float:
+    """Two-sided critical value, the ``1 - alpha/2`` quantile, for an alpha in (0, 1)."""
+    if 1.0 - alpha / 2.0 == 1.0:  # the quantile of 1 is infinite
+        raise PreconditionError(f"alpha {alpha!r} is too small: 1 - alpha/2 rounds to 1")
+    return z_quantile(1.0 - alpha / 2.0)
 
 
 @dataclass(frozen=True)
@@ -47,7 +56,7 @@ def two_proportion_ztest(
     pooled = (successes_a + successes_b) / (n_a + n_b)
     var_pooled = pooled * (1.0 - pooled) * (1.0 / n_a + 1.0 / n_b)
     var_unpooled = p_a * (1.0 - p_a) / n_a + p_b * (1.0 - p_b) / n_b
-    z_crit = z_quantile(1.0 - alpha / 2.0)
+    z_crit = z_critical(alpha)
     if var_pooled <= 0.0 or var_unpooled <= 0.0:
         return ZTestResult(effect, False, effect, effect, True)
     z = effect / math.sqrt(var_pooled)

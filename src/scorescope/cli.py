@@ -214,16 +214,24 @@ def cmd_rdc(args):
     return {"input": args.input}, results, asdict(dconf), code
 
 
+def _check_probe_flags(args) -> None:
+    """Refuse bad probe flags before any input is read."""
+    check_probe_settings(args.permutations)
+    if args.workers < 1:  # --workers is otherwise ignored: every fit runs on one thread
+        raise PreconditionError("workers must be >= 1")
+
+
 def _bias_probe(args, features, flags, cutoffs, logistic) -> dict:
     """The selection-bias probe's results, noting when the p-value floor put SEVERE out of reach."""
     k = args.permutations
-    results = asdict(bias_severity(features, flags, args.folds, k, args.seed, args.workers, cutoffs, logistic))
+    results = asdict(bias_severity(features, flags, args.folds, k, args.seed, cutoffs, logistic))
     if 1 / (k + 1) > cutoffs.severe_p:
         results["severe_unreachable"] = f"SEVERE needs p <= {cutoffs.severe_p}; {k} permutations give p >= 1/{k + 1}"
     return results
 
 
 def cmd_bias(args):
+    _check_probe_flags(args)
     overrides = _load_overrides(args.config)
     cutoffs = _apply_section(DEFAULT_BIAS_CUTOFFS, "bias_cutoffs", overrides)
     logistic = _apply_section(DEFAULT_LOGISTIC, "logistic", overrides)
@@ -257,7 +265,7 @@ def _split_availability(dataset, availability_column: str):
 
 
 def cmd_setup(args):
-    check_probe_settings(args.permutations, args.workers)  # checked even when the probe does not run
+    _check_probe_flags(args)  # checked even when the probe does not run
     overrides = _load_overrides(args.config)
     cutoffs = _apply_section(DEFAULT_BIAS_CUTOFFS, "bias_cutoffs", overrides)
     logistic = _apply_section(DEFAULT_LOGISTIC, "logistic", overrides)
@@ -475,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     probe.add_argument("--impute", action="store_true", help="mean-impute missing feature cells")
     probe.add_argument("--folds", type=int, default=5, help="cross-validation folds")
     probe.add_argument("--permutations", type=int, default=200, help="label-shuffled refits of the bias probe")
-    probe.add_argument("--workers", type=int, default=1, help="threads for permutation refits")
+    probe.add_argument("--workers", type=int, default=1, help="ignored; must be >= 1 (fits run on one thread)")
 
     fmt = argparse.ArgumentDefaultsHelpFormatter
 

@@ -11,10 +11,8 @@ a depth-1 decision stump, and the two trivial baselines.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,17 +71,6 @@ class DecisionStump:
     def predict_proba(self, features) -> np.ndarray:
         x = np.asarray(features, dtype=np.float64)[:, self.feature]
         return (self.polarity * x > self.polarity * self.threshold).astype(np.float64)
-
-
-@dataclass(frozen=True)
-class MajorityBaseline:
-    """Constant majority-class prediction; the popularity-style trivial baseline."""
-
-    positive_rate: float
-
-    @property
-    def accuracy(self) -> float:
-        return max(self.positive_rate, 1.0 - self.positive_rate)
 
 
 @dataclass(frozen=True)
@@ -188,22 +175,16 @@ def _with_ones(z: np.ndarray, dtype) -> np.ndarray:
     return np.hstack([z, np.ones((z.shape[0], 1))]).astype(dtype)
 
 
-def _fit_logistic(xb: np.ndarray, ys: np.ndarray, logistic: LogisticConfig, workers: int = 1) -> np.ndarray:
+def _fit_logistic(xb: np.ndarray, ys: np.ndarray, logistic: LogisticConfig) -> np.ndarray:
     """Full-batch gradient descent on log loss, one model per label column.
 
     ``xb`` is a design matrix from ``_with_ones`` (the last weight is the
     bias); ``ys`` holds one {0,1} label vector per column. Weights start at
     zero and training runs in the dtype of the inputs with preallocated
     buffers: float32 for the bias probe's hundreds of permutation refits,
-    float64 for a single model. With ``workers > 1`` column chunks train in
-    threads. Returns the weight matrix, one column per label column.
+    float64 for a single model. Returns the weight matrix, one column per
+    label column.
     """
-    if workers > 1 and ys.shape[1] >= 2 * workers:
-        # column chunks are independent fits; hstack keeps the column order
-        chunks = np.array_split(np.arange(ys.shape[1]), workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fits = [pool.submit(_fit_logistic, xb, np.ascontiguousarray(ys[:, c]), logistic) for c in chunks]
-            return np.hstack([fit.result() for fit in fits])
     # with sigmoid(t) = 1/2 + tanh(t/2)/2 the gradient xb.T @ (sigmoid(xb @ w) - ys)
     # is half.T @ tanh(half @ w) + xb.T @ (1/2 - ys), whose second term is fixed
     w = np.zeros((xb.shape[1], ys.shape[1]), dtype=xb.dtype)
@@ -272,7 +253,7 @@ def _fold_indices(n: int, folds: int, seed) -> list[np.ndarray]:
 
 
 def _out_of_fold_aucs(
-    x: np.ndarray, labels: np.ndarray, folds: list[np.ndarray], logistic: LogisticConfig, workers: int = 1
+    x: np.ndarray, labels: np.ndarray, folds: list[np.ndarray], logistic: LogisticConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fit every label column on each fold's training rows and score its test rows.
 
@@ -286,7 +267,7 @@ def _out_of_fold_aucs(
         train = np.ones(len(x), dtype=bool)
         train[test_idx] = False
         z, means, stds, kept = _standardize(x[train])
-        w = _fit_logistic(_with_ones(z, labels.dtype), labels[train], logistic, workers)
+        w = _fit_logistic(_with_ones(z, labels.dtype), labels[train], logistic)
         z_test = (x[np.ix_(test_idx, np.flatnonzero(kept))] - means) / stds
         fold_auc, both = _columnwise_auc(_with_ones(z_test, labels.dtype) @ w, labels[test_idx])
         aucs.append(fold_auc)
@@ -340,11 +321,12 @@ def learnability_gap(
         raise PreconditionError("every fold was single-class; cannot estimate learnability")
     fold_aucs = _out_of_fold_aucs(x, y[:, None].astype(np.float64), fitted, logistic)[0][:, 0].tolist()
     mean_auc = float(np.mean(fold_aucs))
+    positive_rate = float(y.mean())
     return LearnabilityReport(
         logistic_auc=mean_auc,
         gap=mean_auc - 0.5,
         random_baseline_auc=0.5,
-        majority_accuracy=MajorityBaseline(float(y.mean())).accuracy,
+        majority_accuracy=max(positive_rate, 1.0 - positive_rate),
         stump_auc=float(np.mean(stump_aucs)),
         fold_aucs=tuple(fold_aucs),
         skipped_folds=tuple(skipped),
@@ -353,15 +335,10 @@ def learnability_gap(
     )
 
 
-@functools.total_ordering
 class BiasSeverity(enum.Enum):
     NONE = "NONE"
     MILD = "MILD"
     SEVERE = "SEVERE"
-
-    def __lt__(self, other: "BiasSeverity") -> bool:
-        order = ("NONE", "MILD", "SEVERE")
-        return order.index(self.value) < order.index(other.value)
 
 
 @dataclass(frozen=True)
@@ -394,12 +371,10 @@ class BiasReport:
     fold_aucs: tuple[float, ...] = field(default=())
 
 
-def check_probe_settings(permutations: int, workers: int) -> None:
-    """Raise PreconditionError unless ``bias_severity`` can run with these counts."""
+def check_probe_settings(permutations: int) -> None:
+    """Raise PreconditionError unless ``bias_severity`` can run this many permutations."""
     if permutations < 1:
         raise PreconditionError("permutations must be >= 1")
-    if workers < 1:
-        raise PreconditionError("workers must be >= 1")
 
 
 def bias_severity(
@@ -408,7 +383,6 @@ def bias_severity(
     folds: int = 5,
     permutations: int = 200,
     seed: int = 0,
-    workers: int = 1,
     cutoffs: BiasCutoffs = DEFAULT_BIAS_CUTOFFS,
     logistic: LogisticConfig = DEFAULT_LOGISTIC,
 ) -> BiasReport:
@@ -434,7 +408,7 @@ def bias_severity(
     n_labeled = int(y.sum())
     if n_labeled == 0 or n_labeled == n:
         raise PreconditionError("need both labeled and unlabeled observations")
-    check_probe_settings(permutations, workers)
+    check_probe_settings(permutations)
 
     rng = np.random.default_rng(seed)
     fold_idx = _fold_indices(n, folds, rng)  # consumes the first draw of the stream
@@ -443,7 +417,7 @@ def bias_severity(
     for j in range(1, permutations + 1):
         labels[:, j] = y[rng.permutation(n)]
 
-    aucs, defined = _out_of_fold_aucs(x, labels, fold_idx, logistic, workers)
+    aucs, defined = _out_of_fold_aucs(x, labels, fold_idx, logistic)
     # a permuted column with no valid fold cannot be scored; drop it from the null
     valid = defined.any(axis=0)
     if not valid[0]:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._stats import two_proportion_ztest, z_quantile
+from ._stats import two_proportion_ztest, z_critical, z_quantile
 from .errors import PreconditionError
 from .ingest import PairedPredictions
 
@@ -132,14 +132,20 @@ def required_sample_size(
         raise PreconditionError("conversion rates must lie strictly inside (0, 1)")
     if not 0.0 < alpha < 1.0 or not 0.0 < power < 1.0:
         raise PreconditionError("alpha and power must lie strictly inside (0, 1)")
-    z_alpha = z_quantile(1.0 - alpha / 2.0)
+    z_alpha = z_critical(alpha)
     z_power = z_quantile(power)
     p_bar = (p_control + p_treatment) / 2.0
     numerator = z_alpha * math.sqrt(2.0 * p_bar * (1.0 - p_bar)) + z_power * math.sqrt(
         p_control * (1.0 - p_control) + p_treatment * (1.0 - p_treatment)
     )
-    n_per_arm = math.ceil((numerator / minimum_detectable_effect) ** 2)
-    total = math.ceil(2 * n_per_arm / disagreement_rate)
+    try:  # a tiny effect or disagreement rate can need more users than a float counts
+        n_per_arm = math.ceil((numerator / minimum_detectable_effect) ** 2)
+        total = math.ceil(2 * n_per_arm / disagreement_rate)
+    except OverflowError:
+        raise PreconditionError(
+            f"the sample size overflows at minimum detectable effect {minimum_detectable_effect!r} "
+            f"and disagreement rate {disagreement_rate!r}"
+        ) from None
     return PowerReport(
         p_control=p_control,
         p_treatment=p_treatment,

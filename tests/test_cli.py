@@ -1,6 +1,9 @@
 """End-to-end command behavior: reports, exit codes, charts, determinism."""
 
+import contextlib
+import io
 import json
+import math
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -202,6 +205,35 @@ class TestPowerCommand:
         assert code == 2
         assert "models identical" in err
 
+    @pytest.mark.parametrize("alpha", ["1e-17", "1.1e-16", "5e-324"])
+    def test_alpha_too_small_for_a_critical_value_exits_two(self, capsys, alpha):
+        code, out, err = run(["power", "--p-control", "0.1", "--mde", "0.02", "--alpha", alpha], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: alpha {alpha} is too small: 1 - alpha/2 rounds to 1\n"
+
+    def test_smallest_alpha_with_a_critical_value_is_accepted(self, capsys):
+        alpha = 2.0**-52  # 1 - alpha/2 is the largest float below 1
+        code, out, _ = run(["power", "--p-control", "0.1", "--mde", "0.02", f"--alpha={alpha!r}"], capsys)
+        assert code == 0
+        assert json.loads(out)["results"]["alpha"] == alpha
+
+    @pytest.mark.parametrize(  # at 1e-154, n_per_arm fits in a float but 2 * n_per_arm does not
+        "mde, disagreement", [("1e-170", "1.0"), ("1e-160", "1.0"), ("1e-154", "1.0"), ("0.02", "5e-324")]
+    )
+    def test_sample_size_too_large_for_a_float_exits_two(self, capsys, mde, disagreement):
+        code, out, err = run(["power", "--p-control", "0.1", "--mde", mde, "--disagreement", disagreement], capsys)
+        assert (code, out) == (2, "")
+        message = f"the sample size overflows at minimum detectable effect {mde} and disagreement rate {disagreement}"
+        assert err == f"error: {message}\n"
+
+    def test_tiny_disagreement_still_sizes_the_traffic(self, capsys):
+        _, full, _ = run(["power", "--p-control", "0.1", "--mde", "0.02"], capsys)
+        code, tiny, _ = run(["power", "--p-control", "0.1", "--mde", "0.02", "--disagreement", "1e-300"], capsys)
+        assert code == 0
+        n_per_arm = json.loads(full)["results"]["n_per_arm"]
+        assert json.loads(tiny)["results"]["n_per_arm"] == n_per_arm
+        assert json.loads(tiny)["results"]["total_traffic_required"] == math.ceil(2 * n_per_arm / 1e-300)
+
 
 class TestCurveCommand:
     def test_worked_series(self, capsys):
@@ -349,6 +381,17 @@ class TestBiasCommand:
         assert code == 2 and out == ""
         assert err == "error: workers must be >= 1\n"
 
+    @pytest.mark.parametrize("command", ["bias", "setup"])
+    def test_workers_flag_leaves_the_report_byte_identical(self, tmp_path, capsys, command):
+        x, has = median_split_availability(200, seed=0)
+        rows = [f"{a:.6f},{b:.6f},{int(b > 0)},{h}" for (a, b), h in zip(x, has)]
+        path = write_csv(tmp_path / "t.csv", "f1,f2,target,has_label", rows)
+        argv = [command, "--input", path, "--availability-column", "has_label", "--permutations", "20"]
+        argv += ["--target", "target"] if command == "setup" else []
+        runs = [run(argv + workers, capsys) for workers in ([], ["--workers", "1"], ["--workers", "2"])]
+        assert runs[0][0] == 0 and runs[0][1]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
 
 class TestSetupCommand:
     def test_full_construction_report(self, tmp_path, capsys):
@@ -427,6 +470,13 @@ class TestBlockedCommands:
             capsys,
         )
         assert code == 2
+
+    def test_alpha_too_small_for_a_critical_value_exits_two(self, tmp_path, capsys):
+        outcomes = str(tmp_path / "outcomes.csv")
+        argv = ["blocked", "simulate", "--n-users", "300", "--base-cvr", "0.2", "--outcomes", outcomes]
+        assert run(argv, capsys)[0] == 0
+        code, out, err = run(["blocked", "analyze", "--input", outcomes, "--alpha", "1e-17"], capsys)
+        assert (code, out, err) == (2, "", "error: alpha 1e-17 is too small: 1 - alpha/2 rounds to 1\n")
 
 
 class TestWatchCommand:
@@ -795,3 +845,63 @@ def test_flag_a_command_does_not_read_is_refused(tmp_path, capsys, monkeypatch, 
         main(argv + extra)
     assert excinfo.value.code == 2
     assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+
+
+# numbers the CLI parses: signed zeros, subnormals, huge, NaN and infinities, then ordinary ones
+_NUMBERS = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e-170, 1e-17, 1.1e-16,
+         1e300, -1e300, math.nan, math.inf, -math.inf, 0.02, 0.1, 0.5, 0.8, 1.0]
+    ),
+    st.floats(),
+    st.floats(0, 1),
+)
+
+
+def _flags(**values):
+    """``--name=value`` arguments: the ``=`` keeps a value such as -1e+300 from reading as a flag."""
+    return st.fixed_dictionaries(values).map(
+        lambda drawn: [f"--{name.replace('_', '-')}={value!r}" for name, value in drawn.items()]
+    )
+
+
+_TINY_ARGVS = st.one_of(
+    _flags(p_control=_NUMBERS, mde=_NUMBERS, alpha=_NUMBERS, power=_NUMBERS, disagreement=_NUMBERS).map(
+        lambda flags: ["power", *flags]
+    ),
+    st.builds(
+        lambda baseline, lo, hi, step: ["curve", f"--baseline={baseline!r}", f"--grid={lo!r}:{hi!r}:{step!r}"],
+        _NUMBERS, _NUMBERS, _NUMBERS, _NUMBERS,
+    ),
+    _flags(threshold=_NUMBERS).map(lambda flags: ["disagree", "--input", "PAIRS", *flags]),
+    _flags(alpha=_NUMBERS).map(lambda flags: ["blocked", "analyze", "--input", "OUTCOMES", *flags]),
+    st.builds(
+        lambda n_users, flags, allocation: ["blocked", "simulate", f"--n-users={n_users}", *flags, allocation],
+        st.integers(max_value=200),  # never a size that allocates
+        _flags(base_cvr=_NUMBERS, latency_penalty=_NUMBERS, feature_effect=_NUMBERS),
+        st.tuples(_NUMBERS, _NUMBERS, _NUMBERS).map(lambda p: f"--allocation={p[0]!r},{p[1]!r},{p[2]!r}"),
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def tiny_inputs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("tiny")
+    pairs = ["e1,0.2,0.7,1", "e2,0.9,0.4,0", "e3,0.5,0.5,1"]
+    outcomes = [f"{variant},{i % 2}" for i in range(4) for variant in ("base", "v1", "v2")]
+    return {
+        "PAIRS": write_csv(tmp / "pairs.csv", "entity_id,pred_a,pred_b,label", pairs),
+        "OUTCOMES": write_csv(tmp / "outcomes.csv", "variant,converted", outcomes),
+    }
+
+
+@given(_TINY_ARGVS)
+@settings(max_examples=500, deadline=None)
+def test_no_traceback_at_any_number_the_cli_accepts(tiny_inputs, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([tiny_inputs.get(arg, arg) for arg in argv])
+    assert code in (0, 1, 2)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

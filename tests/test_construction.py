@@ -17,7 +17,6 @@ from scorescope.construction import (
     DEFAULT_LOGISTIC,
     BiasSeverity,
     LogisticConfig,
-    MajorityBaseline,
     _fit_logistic,
     _standardize,
     _with_ones,
@@ -191,8 +190,12 @@ class TestStump:
 
 class TestBaselines:
     def test_majority_accuracy(self):
-        assert MajorityBaseline(0.3).accuracy == 0.7
-        assert MajorityBaseline(0.8).accuracy == 0.8
+        x = np.random.default_rng(0).normal(size=(20, 2))
+        for positives, rate, accuracy in ((6, 0.3, 0.7), (16, 0.8, 0.8)):
+            y = np.array([1] * positives + [0] * (20 - positives))
+            assert y.mean() == rate
+            report = learnability_gap(dataset_from_arrays(("a", "b"), x, y), folds=2, seed=0)
+            assert report.majority_accuracy == accuracy
 
 
 class TestLearnability:
@@ -266,12 +269,6 @@ class TestBiasSeverity:
         r2 = bias_severity(x, has, permutations=40, seed=11)
         assert r1 == r2
 
-    def test_workers_do_not_change_the_verdict(self):
-        x, has = median_split_availability(400, seed=3)
-        r1 = bias_severity(x, has, permutations=40, seed=5, workers=1)
-        r2 = bias_severity(x, has, permutations=40, seed=5, workers=2)
-        assert r1.severity is r2.severity
-
     def test_invariant_under_feature_rescaling(self):
         x, has = median_split_availability(500, seed=6)
         r1 = bias_severity(x, has, permutations=40, seed=6)
@@ -287,11 +284,12 @@ class TestBiasSeverity:
             base = (x[:, 0] > np.median(x[:, 0])).astype(int)
             return x, np.where(rng.random(600) < rho, 1 - base, base)
 
-        severities = [
-            bias_severity(*flip_family(rho), permutations=60, seed=seed).severity
+        order = list(BiasSeverity)  # NONE, MILD, SEVERE
+        ranks = [
+            order.index(bias_severity(*flip_family(rho), permutations=60, seed=seed).severity)
             for rho in (0.5, 0.35, 0.0)
         ]
-        assert severities[0] <= severities[1] <= severities[2]
+        assert ranks[0] <= ranks[1] <= ranks[2]
 
 
 def test_logistic_config_is_tunable():
