@@ -8,7 +8,6 @@ the slowdown, v2-v1 prices the feature itself.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from array import array
@@ -44,23 +43,27 @@ class BlockedDesign:
             raise PreconditionError("allocation must sum to 1")
 
 
-class BlockedOutcomes:
-    """Per-user outcomes as two aligned columns: variant index and conversion flag."""
+# the row text of each outcome code, 2 * variant index + conversion flag, and the header above them
+_ROWS = tuple(f"{variant.value},{flag}" for variant in _VARIANTS for flag in (0, 1))
+_HEADER = "variant,converted"
 
-    def __init__(self, variants: np.ndarray, converted: np.ndarray):
-        if variants.shape != converted.shape:
-            raise PreconditionError("variant and conversion vectors must align")
-        self._variants = variants.astype(np.uint8)
-        self._converted = converted.astype(bool)
+
+class BlockedOutcomes:
+    """Per-user outcomes as one column of codes: 2 * variant index + conversion flag."""
+
+    def __init__(self, codes: np.ndarray):
+        codes = np.asarray(codes)
+        if not np.isin(codes, range(len(_ROWS))).all():  # before the cast, where 258 would wrap to 2
+            raise PreconditionError(f"outcome codes must be integers in 0..{len(_ROWS) - 1}")
+        self.codes = codes.astype(np.uint8)
 
     def __len__(self) -> int:
-        return len(self._variants)
+        return len(self.codes)
 
     def counts(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-variant (users, conversions) in (base, v1, v2) order."""
-        users = np.bincount(self._variants, minlength=3)
-        conversions = np.bincount(self._variants, weights=self._converted, minlength=3).astype(np.int64)
-        return users, conversions
+        table = np.bincount(self.codes, minlength=len(_ROWS)).reshape(len(_VARIANTS), 2)
+        return table.sum(axis=1), table[:, 1]
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,7 @@ def simulate_blocked(config: BlockedSimConfig) -> BlockedOutcomes:
     rng = np.random.default_rng(config.seed)
     variants = rng.choice(3, size=config.n_users, p=config.design.allocation).astype(np.uint8)
     converted = rng.random(config.n_users) < np.asarray(rates)[variants]
-    return BlockedOutcomes(variants, converted)
+    return BlockedOutcomes(2 * variants + converted)
 
 
 @dataclass(frozen=True)
@@ -150,25 +153,21 @@ def analyze_blocked(outcomes: BlockedOutcomes, alpha: float = 0.05) -> BlockedAn
     )
 
 
+_WRITE_ROWS = 1 << 16  # rows per write, so memory stays flat in the row count
+
+
 def write_blocked_csv(outcomes: BlockedOutcomes, path: str | Path) -> None:
-    """Write outcomes as ``variant,converted`` rows."""
-    names = [v.value for v in _VARIANTS]
-    variants = map(names.__getitem__, outcomes._variants.tolist())
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "converted"])
-        writer.writerows(zip(variants, outcomes._converted.view(np.uint8).tolist()))
+    """Write outcomes as ``variant,converted`` rows, each line ending in ``\\r\\n`` as ``csv.writer`` ends it."""
+    lines = [f"{row}\r\n".encode() for row in _ROWS]
+    with Path(path).open("wb") as fh:
+        fh.write(f"{_HEADER}\r\n".encode())
+        for start in range(0, len(outcomes), _WRITE_ROWS):
+            fh.write(b"".join(map(lines.__getitem__, outcomes.codes[start : start + _WRITE_ROWS].tolist())))
 
 
-# each row text write_blocked_csv writes, ending in \r\n, in \n or (the last
-# row) in nothing, mapped to 2 * variant index + converted flag
-_CANONICAL_ROWS = {
-    f"{variant.value},{flag}{end}".encode(): 2 * index + flag
-    for index, variant in enumerate(_VARIANTS)
-    for flag in (0, 1)
-    for end in ("\r\n", "\n", "")
-}
-_CANONICAL_HEADERS = {b"variant,converted" + end for end in (b"\r\n", b"\n", b"")}
+# each row text write_blocked_csv writes, ending in \r\n, in \n or (the last row) in nothing, mapped to its code
+_CANONICAL_ROWS = {f"{row}{end}".encode(): code for code, row in enumerate(_ROWS) for end in ("\r\n", "\n", "")}
+_CANONICAL_HEADERS = {f"{_HEADER}{end}".encode() for end in ("\r\n", "\n", "")}
 _BATCH_BYTES = 1 << 16  # per readlines call, so memory stays flat in the file size
 
 
@@ -183,12 +182,11 @@ def read_blocked_csv(path: str | Path) -> BlockedOutcomes:
     codes = _canonical_codes(path)
     if codes is None:
         return _parse_blocked_csv(path)
-    packed = np.frombuffer(codes, dtype=np.uint8)
-    return BlockedOutcomes(packed >> 1, packed & 1)
+    return BlockedOutcomes(np.frombuffer(codes, dtype=np.uint8))
 
 
 def _canonical_codes(path: Path) -> array | None:
-    """Per-row ``2 * variant + converted`` of a file of canonical rows, else None."""
+    """Per-row outcome codes of a file of canonical rows, else None."""
     codes = array("B")
     try:
         with path.open("rb") as fh:
@@ -205,20 +203,18 @@ def _parse_blocked_csv(path: Path) -> BlockedOutcomes:
     """``read_blocked_csv`` through ``csv_rows``: any valid CSV, and every error with its row number."""
     rows = csv_rows(path, "outcomes CSV")
     _, header = next(rows)
-    if header != ["variant", "converted"]:
-        raise InputError(f"{path}: header must be variant,converted, got {','.join(header)}")
+    if header != _HEADER.split(","):
+        raise InputError(f"{path}: header must be {_HEADER}, got {','.join(header)}")
     by_value = {v.value: i for i, v in enumerate(_VARIANTS)}
-    variants = array("B")
-    converted = array("B")
+    codes = array("B")
     for row_no, row in rows:
         if len(row) != 2:
             raise InputError(f"row {row_no}: expected 2 fields, got {len(row)}")
         value = row[0].strip().lower()
         if value not in by_value:
             raise InputError(f"row {row_no}: unknown variant {row[0]!r}")
-        variants.append(by_value[value])
         flag = row[1].strip()
         if flag not in ("0", "1"):
             raise InputError(f"row {row_no}: converted must be 0 or 1, got {flag!r}")
-        converted.append(flag == "1")
-    return BlockedOutcomes(np.array(variants, dtype=np.uint8), np.array(converted, dtype=bool))
+        codes.append(2 * by_value[value] + (flag == "1"))
+    return BlockedOutcomes(np.frombuffer(codes, dtype=np.uint8))

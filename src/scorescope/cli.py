@@ -3,7 +3,7 @@
 Every command emits one structured JSON report carrying the tool version,
 input digests, results, and the exact thresholds that influenced any
 verdict, so heuristic calls can be audited after the fact. Exit codes: 0
-ok, 1 input error, 2 precondition violation, 3 strict-mode finding.
+ok, 1 input or output error, 2 precondition violation, 3 strict-mode finding.
 """
 
 from __future__ import annotations
@@ -571,6 +571,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     command = args.command if not hasattr(args, "subcommand") else f"{args.command} {args.subcommand}"
     try:
+        if args.seed < 0:  # numpy seeds only non-negative integers
+            raise PreconditionError(f"seed must be >= 0, got {args.seed}")
         inputs, results, decisions, code = args.handler(args)
         _emit(_envelope(command, inputs, results, decisions), args.output)
         return code
@@ -580,6 +582,9 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except OSError as exc:  # every read raises InputError, so this is a report, chart or outcome file
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 def entrypoint() -> None:

@@ -132,6 +132,8 @@ def required_sample_size(
         raise PreconditionError("conversion rates must lie strictly inside (0, 1)")
     if not 0.0 < alpha < 1.0 or not 0.0 < power < 1.0:
         raise PreconditionError("alpha and power must lie strictly inside (0, 1)")
+    if power <= alpha / 2.0:  # from here up the numerator below is positive, and n grows with power
+        raise PreconditionError(f"power {power!r} must exceed alpha/2, {alpha / 2.0!r} at alpha {alpha!r}")
     z_alpha = z_critical(alpha)
     z_power = z_quantile(power)
     p_bar = (p_control + p_treatment) / 2.0

@@ -65,13 +65,12 @@ class _ArrayFieldsEq:
 class PairedPredictions(_ArrayFieldsEq):
     """Entities scored by two models, as columns: the input of disagreement analysis."""
 
-    entity_ids: list[str]
     pred_a: np.ndarray  # (n,) float64
     pred_b: np.ndarray  # (n,) float64
     labels: np.ndarray  # (n,) int8: 0, 1, or -1 where unlabeled
 
     def __len__(self) -> int:
-        return len(self.entity_ids)
+        return len(self.pred_a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,20 +92,18 @@ class TabularDataset(_ArrayFieldsEq):
 
 @dataclass(frozen=True, eq=False)
 class ScoreColumns(_ArrayFieldsEq):
-    """Score-log records as columns, in file order.
+    """Score-log records as columns, in file order: the fields some caller reads.
 
-    Model ids and class labels are codes into tables sorted by id. ``ts`` is
-    int64, or object (Python ints) when a timestamp does not fit in int64.
+    Model ids and class labels are codes into tables sorted by id. A line's
+    ``ts`` and ``label`` are validated but not kept.
     """
 
     model_ids: tuple[str, ...]
     model: np.ndarray  # (n,) int32 codes into model_ids
-    ts: np.ndarray  # (n,) int64 or object
     score: np.ndarray  # (n,) float64
     entity_id: np.ndarray  # (n,) object: str, or None where absent
     class_ids: tuple[str, ...]
     class_code: np.ndarray  # (n,) int32 codes into class_ids, -1 where absent
-    label: np.ndarray  # (n,) int8: 0, 1, or -1 where absent
 
     def __len__(self) -> int:
         return len(self.score)
@@ -129,7 +126,7 @@ class ScoreColumns(_ArrayFieldsEq):
             lookups = [np.array([rank[v] for v in getattr(b, table)] + [-1], dtype=np.int32) for b in batches]
             coded[table] = ids
             coded[codes] = np.concatenate([lookup[getattr(b, codes)] for lookup, b in zip(lookups, batches)])
-        for name in ("ts", "score", "entity_id", "label"):
+        for name in ("score", "entity_id"):
             coded[name] = np.concatenate([getattr(b, name) for b in batches])
         return cls(**coded)
 
@@ -138,16 +135,14 @@ class ScoreColumns(_ArrayFieldsEq):
         return replace(
             self,
             model=self.model[rows],
-            ts=self.ts[rows],
             score=self.score[rows],
             entity_id=self.entity_id[rows],
             class_code=self.class_code[rows],
-            label=self.label[rows],
         )
 
 
 def _row(r: ScoreRecord) -> tuple:
-    return r.model_id, r.ts, r.score, r.entity_id, r.class_label, -1 if r.true_label is None else r.true_label
+    return r.model_id, r.score, r.entity_id, r.class_label
 
 
 def _encode(values: Sequence) -> tuple[tuple[str, ...], np.ndarray]:
@@ -160,22 +155,16 @@ def _encode(values: Sequence) -> tuple[tuple[str, ...], np.ndarray]:
 
 def _score_columns(rows: list[tuple]) -> ScoreColumns:
     """Columns of ``_row`` tuples."""
-    models, ts, scores, entities, classes, labels = zip(*rows) if rows else [()] * 6
+    models, scores, entities, classes = zip(*rows) if rows else [()] * 4
     model_ids, model = _encode(models)
     class_ids, class_code = _encode(classes)
-    try:
-        ts_column = np.array(ts, dtype=np.int64)
-    except OverflowError:  # a timestamp past int64
-        ts_column = np.array(ts, dtype=object)
     return ScoreColumns(
         model_ids,
         model,
-        ts_column,
         np.array(scores, dtype=np.float64),
         np.array(entities, dtype=object),
         class_ids,
         class_code,
-        np.array(labels, dtype=np.int8),
     )
 
 
@@ -357,7 +346,7 @@ def parse_score_lines(
                     and (c is None or type(c) is str)
                     and (k is None or (type(k) is int and 0 <= k <= 1))
                 ):
-                    rows.append((m, t, s, e, c, -1 if k is None else k))
+                    rows.append((m, s, e, c))
                     continue
             if not line.strip():
                 continue
@@ -458,15 +447,13 @@ def read_paired(path: str | Path) -> PairedPredictions:
             f"{path}: header must be entity_id,pred_a,pred_b[,label], got {','.join(header)}"
         )
     has_label = len(header) == 4
-    entity_ids: list[str] = []
     pred_a = array("d")
     pred_b = array("d")
     labels = array("b")
     for row_no, row in rows:
         if len(row) != len(header):
             raise InputError(f"row {row_no}: expected {len(header)} fields, got {len(row)}")
-        entity = row[0].strip()
-        if not entity:
+        if not row[0].strip():
             raise InputError(f"row {row_no}: empty entity_id")
         pred_a.append(_parse_unit_score(row[1].strip(), row_no, "pred_a"))
         pred_b.append(_parse_unit_score(row[2].strip(), row_no, "pred_b"))
@@ -477,10 +464,8 @@ def read_paired(path: str | Path) -> PairedPredictions:
                 if cell not in ("0", "1"):
                     raise InputError(f"row {row_no}: label must be 0 or 1, got {cell!r}")
                 label = int(cell)
-        entity_ids.append(entity)
         labels.append(label)
     return PairedPredictions(
-        entity_ids,
         np.array(pred_a, dtype=np.float64),
         np.array(pred_b, dtype=np.float64),
         np.array(labels, dtype=np.int8),

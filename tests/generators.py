@@ -79,10 +79,9 @@ def median_split_availability(n: int, seed: int):
 
 
 def paired(pred_a, pred_b, labels=None) -> PairedPredictions:
-    """Paired-prediction columns for entities e0, e1, ...; unlabeled (-1) unless ``labels`` is given."""
+    """Paired-prediction columns, unlabeled (-1) unless ``labels`` is given."""
     n = len(pred_a)
     return PairedPredictions(
-        [f"e{i}" for i in range(n)],
         np.asarray(pred_a, dtype=np.float64),
         np.asarray(pred_b, dtype=np.float64),
         np.full(n, -1, dtype=np.int8) if labels is None else np.asarray(labels, dtype=np.int8),

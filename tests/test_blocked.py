@@ -1,5 +1,6 @@
 """Blocked-experiment simulation and effect disentanglement."""
 
+import csv
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -24,12 +25,25 @@ from scorescope.errors import InputError, PreconditionError
 
 def outcomes_with_rates(per_variant: int, rates) -> BlockedOutcomes:
     """Exact conversion counts per variant, no randomness."""
-    variants, converted = [], []
+    codes = []
     for v, rate in enumerate(rates):
         k = int(round(rate * per_variant))
-        variants += [v] * per_variant
-        converted += [True] * k + [False] * (per_variant - k)
-    return BlockedOutcomes(np.array(variants), np.array(converted))
+        codes += [2 * v + 1] * k + [2 * v] * (per_variant - k)
+    return BlockedOutcomes(np.array(codes))
+
+
+class TestOutcomeCodes:
+    @pytest.mark.parametrize("code", [-1, 6, 258])
+    def test_code_outside_the_six_rejected(self, code):
+        with pytest.raises(PreconditionError, match="outcome codes"):
+            BlockedOutcomes(np.array([0, 1, code, 5]))
+
+    @given(st.lists(st.integers(0, 5), max_size=60))
+    @settings(max_examples=60)
+    def test_counts_match_a_per_variant_loop(self, codes):
+        users, conversions = BlockedOutcomes(np.array(codes, dtype=np.int64)).counts()
+        assert users.tolist() == [sum(1 for c in codes if c // 2 == v) for v in range(3)]
+        assert conversions.tolist() == [sum(1 for c in codes if c == 2 * v + 1) for v in range(3)]
 
 
 class TestDesign:
@@ -81,8 +95,7 @@ class TestSimulate:
     def test_deterministic_per_seed(self):
         config = BlockedSimConfig(1000, 0.1, -0.01, 0.02, seed=7)
         a, b = simulate_blocked(config), simulate_blocked(config)
-        assert a._variants.tolist() == b._variants.tolist()
-        assert a._converted.tolist() == b._converted.tolist()
+        assert a.codes.tolist() == b.codes.tolist()
 
 
 class TestAnalyze:
@@ -103,7 +116,7 @@ class TestAnalyze:
             assert contrast.ci_low == contrast.ci_high == contrast.effect == 0.0
 
     def test_empty_variant_rejected(self):
-        outcomes = BlockedOutcomes(np.array([0, 0, 1]), np.array([True, False, True]))
+        outcomes = BlockedOutcomes(np.array([1, 0, 3]))
         with pytest.raises(PreconditionError, match="v2 has no users"):
             analyze_blocked(outcomes)
 
@@ -112,12 +125,11 @@ class TestAnalyze:
     ))
     @settings(max_examples=60)
     def test_additivity_exact_and_order_free(self, rows):
-        variants = np.array([v for v, _ in rows])
-        converted = np.array([c for _, c in rows])
-        analysis = analyze_blocked(BlockedOutcomes(variants, converted))
+        codes = np.array([2 * v + c for v, c in rows])
+        analysis = analyze_blocked(BlockedOutcomes(codes))
         assert analysis.total_effect == analysis.perf_effect + analysis.feature_effect
         perm = np.random.default_rng(0).permutation(len(rows))
-        shuffled = analyze_blocked(BlockedOutcomes(variants[perm], converted[perm]))
+        shuffled = analyze_blocked(BlockedOutcomes(codes[perm]))
         assert shuffled.perf_effect == analysis.perf_effect
         assert shuffled.feature_effect == analysis.feature_effect
         assert shuffled.contrasts == analysis.contrasts
@@ -165,8 +177,7 @@ class TestCsvRoundTrip:
         write_blocked_csv(outcomes, path)
         with mock.patch.object(blocked, "_parse_blocked_csv", side_effect=AssertionError("CSV parser used")):
             back = read_blocked_csv(path)
-        assert np.array_equal(back._variants, outcomes._variants)
-        assert np.array_equal(back._converted, outcomes._converted)
+        assert np.array_equal(back.codes, outcomes.codes)
 
     def test_byte_order_mark_falls_back_to_the_csv_parser(self, tmp_path):
         outcomes = simulate_blocked(BlockedSimConfig(300, 0.2, -0.01, 0.05, seed=5))
@@ -176,8 +187,7 @@ class TestCsvRoundTrip:
         with mock.patch.object(blocked, "_parse_blocked_csv", wraps=blocked._parse_blocked_csv) as parse:
             back = read_blocked_csv(path)
         parse.assert_called_once_with(path)
-        assert np.array_equal(back._variants, outcomes._variants)
-        assert np.array_equal(back._converted, outcomes._converted)
+        assert np.array_equal(back.codes, outcomes.codes)
 
     def test_missing_file_is_an_input_error(self, tmp_path):
         with pytest.raises(InputError, match="^cannot read outcomes CSV"):
@@ -217,7 +227,7 @@ def _read_or_error(read, path):
         outcomes = read(path)
     except InputError as exc:
         return str(exc)
-    return outcomes._variants.tolist(), outcomes._converted.tolist()
+    return outcomes.codes.tolist()
 
 
 @given(
@@ -246,3 +256,25 @@ def test_one_odd_row_among_canonical_rows_reads_as_csv(tmp_path, odd, end):
     path = tmp_path / "outcomes.csv"
     path.write_bytes(end.join([_HEADER, b"base,1", odd, b"v2,0", b"v1,1"]))
     assert _read_or_error(read_blocked_csv, path) == _read_or_error(blocked._parse_blocked_csv, path)
+
+
+def _csv_writer_reference(codes, path):
+    """``write_blocked_csv`` as it was through ``csv.writer``, the reference for the bytes it writes."""
+    names = ["base", "v1", "v2"]
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["variant", "converted"])
+        writer.writerows((names[code // 2], code % 2) for code in codes)
+
+
+@given(st.lists(st.integers(0, 5), max_size=50), st.integers(1, 8))
+@settings(max_examples=200, deadline=None)
+def test_writer_matches_csv_writer_and_reads_back_through_the_fast_path(codes, write_rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        written, reference = Path(tmp) / "written.csv", Path(tmp) / "reference.csv"
+        with mock.patch.object(blocked, "_WRITE_ROWS", write_rows):  # several chunks per file
+            write_blocked_csv(BlockedOutcomes(np.array(codes, dtype=np.uint8)), written)
+        _csv_writer_reference(codes, reference)
+        assert written.read_bytes() == reference.read_bytes()
+        with mock.patch.object(blocked, "_parse_blocked_csv", side_effect=AssertionError("CSV parser used")):
+            assert read_blocked_csv(written).codes.tolist() == codes

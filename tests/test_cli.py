@@ -226,6 +226,25 @@ class TestPowerCommand:
         message = f"the sample size overflows at minimum detectable effect {mde} and disagreement rate {disagreement}"
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("power", ["0.025", "0.02", "1e-6"])
+    def test_power_at_or_below_half_alpha_exits_two(self, capsys, power):
+        code, out, err = run(["power", "--p-control", "0.1", "--mde", "0.02", "--power", power], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: power {float(power)!r} must exceed alpha/2, 0.025 at alpha 0.05\n"
+
+    def test_conventional_power_report_is_unchanged(self, capsys):
+        code, out, _ = run(["power", "--p-control", "0.1", "--mde", "0.02", "--power", "0.8"], capsys)
+        assert code == 0
+        assert json.loads(out)["results"] == {
+            "p_control": 0.1,
+            "p_treatment": 0.12000000000000001,
+            "alpha": 0.05,
+            "power": 0.8,
+            "n_per_arm": 3841,
+            "disagreement_rate": 1.0,
+            "total_traffic_required": 7682,
+        }
+
     def test_tiny_disagreement_still_sizes_the_traffic(self, capsys):
         _, full, _ = run(["power", "--p-control", "0.1", "--mde", "0.02"], capsys)
         code, tiny, _ = run(["power", "--p-control", "0.1", "--mde", "0.02", "--disagreement", "1e-300"], capsys)
@@ -865,6 +884,8 @@ def _flags(**values):
     )
 
 
+_SEEDS = st.integers(-3, -1) | st.integers(0, 2**64)  # a negative seed half the time
+
 _TINY_ARGVS = st.one_of(
     _flags(p_control=_NUMBERS, mde=_NUMBERS, alpha=_NUMBERS, power=_NUMBERS, disagreement=_NUMBERS).map(
         lambda flags: ["power", *flags]
@@ -881,7 +902,43 @@ _TINY_ARGVS = st.one_of(
         _flags(base_cvr=_NUMBERS, latency_penalty=_NUMBERS, feature_effect=_NUMBERS),
         st.tuples(_NUMBERS, _NUMBERS, _NUMBERS).map(lambda p: f"--allocation={p[0]!r},{p[1]!r},{p[2]!r}"),
     ),
+    # the integer flags around their minimums, and a report under a missing directory
+    st.builds(
+        lambda seed, bins, output: ["rdc", "--input", "LOG", f"--seed={seed}", f"--bins={bins}", *output],
+        _SEEDS, st.integers(-2, 200), st.sampled_from([[], ["--output", "MISSING"]]),
+    ),
+    st.builds(
+        lambda seed, folds, permutations: [
+            "bias", "--input", "TABLE", "--availability-column", "flag",
+            f"--seed={seed}", f"--folds={folds}", f"--permutations={permutations}",
+        ],
+        _SEEDS, st.integers(-2, 8), st.integers(-2, 4),
+    ),
+    st.builds(
+        lambda seed, folds, permutations, probe: [
+            "setup", "--input", "TABLE", "--target", "y",
+            f"--seed={seed}", f"--folds={folds}", f"--permutations={permutations}", *probe,
+        ],
+        _SEEDS, st.integers(-2, 8), st.integers(-2, 4),
+        st.sampled_from([[], ["--availability-column", "flag"]]),
+    ),
+    st.builds(
+        lambda seed, bins, window, output: [
+            "watch", "--input", "LOG", "--once", f"--seed={seed}", f"--bins={bins}", f"--window={window}", *output,
+        ],
+        _SEEDS, st.integers(-2, 200), st.integers(-2, 3000),
+        st.sampled_from([[], ["--output", "MISSING"]]),
+    ),
+    st.builds(
+        lambda seed: ["blocked", "simulate", "--n-users=20", "--base-cvr=0.1", f"--seed={seed}"],
+        _SEEDS,
+    ),
 )
+
+
+def _table_rows(n: int = 60) -> list[str]:
+    """``a,b,flag,y`` rows: two features, an availability flag that follows ``a``, a target that follows ``b``."""
+    return [f"{i % 7},{(i * 3) % 5},{int(i % 7 > 3)},{int((i * 3) % 5 > 1)}" for i in range(n)]
 
 
 @pytest.fixture(scope="module")
@@ -892,6 +949,9 @@ def tiny_inputs(tmp_path_factory):
     return {
         "PAIRS": write_csv(tmp / "pairs.csv", "entity_id,pred_a,pred_b,label", pairs),
         "OUTCOMES": write_csv(tmp / "outcomes.csv", "variant,converted", outcomes),
+        "LOG": write_log(tmp / "log.jsonl", bimodal_scores(300, 0)),
+        "TABLE": write_csv(tmp / "t.csv", "a,b,flag,y", _table_rows()),
+        "MISSING": str(tmp / "missing" / "report.json"),
     }
 
 
@@ -905,3 +965,37 @@ def test_no_traceback_at_any_number_the_cli_accepts(tiny_inputs, argv):
     if code:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["blocked", "simulate", "--n-users", "10", "--base-cvr", "0.1"],
+        ["bias", "--input", "TABLE", "--availability-column", "flag"],
+        ["setup", "--input", "TABLE", "--target", "y"],
+    ],
+    ids=["blocked-simulate", "bias", "setup"],
+)
+def test_negative_seed_exits_two(tmp_path, capsys, argv):
+    table = write_csv(tmp_path / "t.csv", "a,b,flag,y", _table_rows())
+    code, out, err = run([table if arg == "TABLE" else arg for arg in argv] + ["--seed", "-1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["power", "--p-control", "0.1", "--mde", "0.02", "--output", "OUT"],
+        ["rdc", "--input", "LOG", "--svg", "OUT"],
+        ["curve", "--baseline", "0.8", "--grid", "0.8:0.9:0.05", "--svg", "OUT"],
+        ["blocked", "simulate", "--n-users", "10", "--base-cvr", "0.1", "--outcomes", "OUT"],
+    ],
+    ids=["output", "rdc-svg", "curve-svg", "outcomes"],
+)
+def test_unwritable_output_path_exits_one(tmp_path, bimodal_log, capsys, argv):
+    target = tmp_path / "missing" / "out"
+    code, out, err = run([{"OUT": str(target), "LOG": bimodal_log}.get(arg, arg) for arg in argv], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert str(target) in err

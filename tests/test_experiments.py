@@ -134,6 +134,26 @@ class TestRequiredSampleSize:
         with pytest.raises(PreconditionError):
             required_sample_size(0.99, 0.02)
 
+    @pytest.mark.parametrize("power", [0.025, 0.02, 1e-6])
+    def test_power_at_or_below_half_alpha_rejected(self, power):
+        with pytest.raises(PreconditionError, match="must exceed alpha/2"):
+            required_sample_size(0.10, 0.02, alpha=0.05, power=power)
+
+    @given(
+        st.floats(1e-3, 0.9),
+        st.floats(1e-4, 0.09),
+        st.floats(1e-6, 0.5),
+        st.lists(st.floats(0, 1, exclude_min=True, exclude_max=True), min_size=2, max_size=2),
+    )
+    @settings(max_examples=300)
+    def test_n_per_arm_never_falls_as_power_rises(self, p_control, mde, alpha, powers):
+        low, high = sorted(powers)
+        try:
+            smaller = required_sample_size(p_control, mde, alpha=alpha, power=low).n_per_arm
+        except PreconditionError:
+            return  # low at or below alpha/2: refused
+        assert required_sample_size(p_control, mde, alpha=alpha, power=high).n_per_arm >= smaller
+
     def test_monte_carlo_calibration(self):
         # oracle: simulate the pooled z-test at the computed per-arm size
         report = required_sample_size(0.10, 0.02, alpha=0.05, power=0.8)

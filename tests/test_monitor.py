@@ -211,7 +211,7 @@ class TestOverrides:
         records = [ScoreRecord(m, i, s) for i, (m, s) in enumerate(rows)]
         out, n = apply_overrides(ScoreColumns.from_records(records), [OverrideRule(0.7, model_id="m2")])
         assert len(out) == len(records)
-        assert out.ts.tolist() == [r.ts for r in records]
+        assert out.score.tolist() == [0.7 if r.model_id == "m2" else r.score for r in records]
         assert [out.model_ids[code] for code in out.model.tolist()] == [r.model_id for r in records]
         assert n == sum(1 for r in records if r.model_id == "m2")
 
