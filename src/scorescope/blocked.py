@@ -208,8 +208,6 @@ def _parse_blocked_csv(path: Path) -> BlockedOutcomes:
     by_value = {v.value: i for i, v in enumerate(_VARIANTS)}
     codes = array("B")
     for row_no, row in rows:
-        if len(row) != 2:
-            raise InputError(f"row {row_no}: expected 2 fields, got {len(row)}")
         value = row[0].strip().lower()
         if value not in by_value:
             raise InputError(f"row {row_no}: unknown variant {row[0]!r}")

@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
+import re
+from xml.sax.saxutils import escape
+
 import numpy as np
 
 from .rdc import Rdc, ThresholdBand, log_view
 
 WIDTH = 800
 HEIGHT = 400
+
+
+# code points XML 1.0 text cannot hold, lone surrogates (which UTF-8 cannot encode) among them
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _text(value: str) -> str:
+    """``value`` as SVG text: markup escaped, each code point XML cannot hold written as its backslash escape."""
+    return escape(_NOT_XML.sub(lambda m: m.group().encode("unicode_escape").decode("ascii"), value))
 
 
 def _fmt(x: float) -> str:
@@ -49,7 +61,7 @@ def _axes(panel: _Panel, title: str, ymax_label: str) -> list[str]:
     return [
         f'<line x1="{_fmt(panel.x0)}" y1="{_fmt(panel.y1)}" x2="{_fmt(panel.x1)}" y2="{_fmt(panel.y1)}" stroke="#333"/>',
         f'<line x1="{_fmt(panel.x0)}" y1="{_fmt(panel.y0)}" x2="{_fmt(panel.x0)}" y2="{_fmt(panel.y1)}" stroke="#333"/>',
-        f'<text x="{_fmt((panel.x0 + panel.x1) / 2)}" y="{_fmt(panel.y0 - 8)}" font-size="13" text-anchor="middle" fill="#333">{title}</text>',
+        f'<text x="{_fmt((panel.x0 + panel.x1) / 2)}" y="{_fmt(panel.y0 - 8)}" font-size="13" text-anchor="middle" fill="#333">{_text(title)}</text>',
         f'<text x="{_fmt(panel.x0)}" y="{_fmt(panel.y1 + 14)}" font-size="10" text-anchor="middle" fill="#333">0</text>',
         f'<text x="{_fmt(panel.x1)}" y="{_fmt(panel.y1 + 14)}" font-size="10" text-anchor="middle" fill="#333">1</text>',
         f'<text x="{_fmt(panel.x0 - 4)}" y="{_fmt(panel.y0 + 4)}" font-size="10" text-anchor="end" fill="#333">{ymax_label}</text>',
@@ -129,13 +141,13 @@ def curve_chart(
         [
             f'<line x1="{_fmt(panel.x0)}" y1="{_fmt(panel.y1)}" x2="{_fmt(panel.x1)}" y2="{_fmt(panel.y1)}" stroke="#333"/>',
             f'<line x1="{_fmt(panel.x0)}" y1="{_fmt(panel.y0)}" x2="{_fmt(panel.x0)}" y2="{_fmt(panel.y1)}" stroke="#333"/>',
-            f'<text x="{_fmt((panel.x0 + panel.x1) / 2)}" y="{_fmt(panel.y1 + 30)}" font-size="12" text-anchor="middle" fill="#333">{x_label}</text>',
+            f'<text x="{_fmt((panel.x0 + panel.x1) / 2)}" y="{_fmt(panel.y1 + 30)}" font-size="12" text-anchor="middle" fill="#333">{_text(x_label)}</text>',
             f'<text x="{_fmt(panel.x0 - 6)}" y="{_fmt(panel.y0 + 4)}" font-size="10" text-anchor="end" fill="#333">{_fmt(panel.ymax)}</text>',
             f'<text x="{_fmt(panel.x0 - 6)}" y="{_fmt(panel.y1 + 4)}" font-size="10" text-anchor="end" fill="#333">0</text>',
             f'<text x="{_fmt(panel.x0)}" y="{_fmt(panel.y1 + 14)}" font-size="10" text-anchor="middle" fill="#333">{_fmt(x_lo)}</text>',
             f'<text x="{_fmt(panel.x1)}" y="{_fmt(panel.y1 + 14)}" font-size="10" text-anchor="middle" fill="#333">{_fmt(x_hi)}</text>',
             f'<text x="20" y="{_fmt((panel.y0 + panel.y1) / 2)}" font-size="12" text-anchor="middle" fill="#333" '
-            f'transform="rotate(-90 20 {_fmt((panel.y0 + panel.y1) / 2)})">{y_label}</text>',
+            f'transform="rotate(-90 20 {_fmt((panel.y0 + panel.y1) / 2)})">{_text(y_label)}</text>',
         ]
     )
     return _document(body)

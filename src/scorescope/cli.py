@@ -23,6 +23,7 @@ from . import __version__
 from .blocked import (
     BlockedDesign,
     BlockedSimConfig,
+    Variant,
     analyze_blocked,
     read_blocked_csv,
     simulate_blocked,
@@ -53,24 +54,15 @@ EXIT_STRICT = 3
 MAX_GRID_POINTS = 10_001
 
 
-def _jsonable(obj):
+def _json_default(obj):
+    """``json.dumps`` hook: a dataclass as its fields, an Enum as its value, numpy as Python values."""
     if is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in asdict(obj).items()}
+        return asdict(obj)
     if isinstance(obj, Enum):
         return obj.value
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _digest(path: Path) -> dict:
@@ -89,13 +81,13 @@ def _envelope(command: str, inputs: dict, results: dict, decisions: dict) -> dic
         "tool_version": __version__,
         "command": command,
         "inputs": {name: _digest(Path(p)) for name, p in inputs.items()},
-        "results": _jsonable(results),
-        "decisions": _jsonable(decisions),
+        "results": results,
+        "decisions": decisions,
     }
 
 
 def _emit(report: dict, output: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True, default=_json_default) + "\n"
     if output:
         Path(output).write_text(text, encoding="utf-8")
     else:
@@ -369,13 +361,12 @@ def cmd_blocked_simulate(args):
     if args.outcomes:
         write_blocked_csv(outcomes, args.outcomes)
     users, conversions = outcomes.counts()
+    names = [variant.value for variant in Variant]
     results = {
         "n_users": len(outcomes),
-        "users": {v: int(n) for v, n in zip(("base", "v1", "v2"), users)},
-        "conversions": {v: int(c) for v, c in zip(("base", "v1", "v2"), conversions)},
-        "empirical_rates": {
-            v: (float(c / n) if n else None) for v, c, n in zip(("base", "v1", "v2"), conversions, users)
-        },
+        "users": dict(zip(names, users)),
+        "conversions": dict(zip(names, conversions)),
+        "empirical_rates": {v: (c / n if n else None) for v, c, n in zip(names, conversions, users)},
         "outcomes_csv": args.outcomes,
     }
     decisions = {
@@ -416,13 +407,7 @@ def _parse_override(raw: str) -> OverrideRule:
 
 
 def _emit_alert(alert) -> None:
-    line = {
-        "model_id": alert.model_id,
-        "window_index": alert.window_index,
-        "kind": alert.kind.value,
-        "detail": _jsonable(alert.detail),
-    }
-    sys.stdout.write(json.dumps(line, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(alert, sort_keys=True, default=_json_default) + "\n")
     sys.stdout.flush()
 
 
@@ -566,6 +551,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_dirs(args) -> None:
+    """Refuse a report, chart or outcome file in a missing directory before the handler runs, as writing it would."""
+    for value in (args.output, getattr(args, "svg", None), getattr(args, "outcomes", None)):
+        if value and not Path(value).parent.is_dir():
+            Path(value).touch()  # cannot create it, so it raises the error the write would give
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -573,6 +565,7 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:  # numpy seeds only non-negative integers
             raise PreconditionError(f"seed must be >= 0, got {args.seed}")
+        _check_output_dirs(args)
         inputs, results, decisions, code = args.handler(args)
         _emit(_envelope(command, inputs, results, decisions), args.output)
         return code

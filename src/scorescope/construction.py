@@ -108,41 +108,29 @@ def auc(scores, labels) -> float:
         raise PreconditionError("scores and labels must be equal-length vectors")
     if not np.isin(y, (0, 1)).all():
         raise PreconditionError("labels must be binary {0, 1}")
-    n_pos = int(y.sum())
-    n_neg = int(y.size - n_pos)
-    if n_pos == 0 or n_neg == 0:
+    value, defined = _columnwise_auc(s[:, None], y[:, None])
+    if not defined[0]:
         raise PreconditionError("both classes must be present to compute AUC")
-    ranks = _average_ranks(s)
-    u = ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
-
-
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties averaged."""
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    boundary = np.empty(len(xs), dtype=bool)
-    boundary[0] = True
-    boundary[1:] = xs[1:] != xs[:-1]
-    starts = np.flatnonzero(boundary)
-    sizes = np.diff(np.append(starts, len(xs)))
-    group_rank = starts + (sizes - 1) / 2.0 + 1.0
-    ranks = np.empty(len(xs), dtype=np.float64)
-    ranks[order] = np.repeat(group_rank, sizes)
-    return ranks
+    return float(value[0])
 
 
 def _columnwise_auc(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mann-Whitney AUC per column of (scores, labels).
+    """Mann-Whitney AUC per column of (scores, labels), ranking every column in one pass.
 
     Returns the AUC vector plus a mask of columns where both classes were
     present (elsewhere the AUC is reported as 0.5 but masked out).
     """
     m, c = scores.shape
-    ranks = np.empty((m, c), dtype=np.float64)
-    for j in range(c):
-        ranks[:, j] = _average_ranks(scores[:, j].astype(np.float64))
-    y = labels.astype(np.float64)
+    order = np.argsort(scores, axis=0, kind="stable")
+    xs = np.take_along_axis(scores, order, axis=0)
+    row = np.arange(m)[:, None]
+    new_run = np.ones((m + 1, c), dtype=bool)  # row i starts a run of tied scores; row m ends the last
+    new_run[1:m] = xs[1:] != xs[:-1]
+    first = np.maximum.accumulate(np.where(new_run[:m], row, 0), axis=0)
+    last = np.minimum.accumulate(np.where(new_run[1:], row, m)[::-1], axis=0)[::-1]
+    ranks = first + (last - first) / 2.0 + 1.0  # 1-based, ties averaged, in score order
+    # the labels follow the scores into that order; every sum below is exact, so the order cannot change it
+    y = np.take_along_axis(labels, order, axis=0).astype(np.float64)
     n_pos = y.sum(axis=0)
     n_neg = m - n_pos
     defined = (n_pos > 0) & (n_neg > 0)
@@ -229,16 +217,19 @@ def train_stump(dataset: TabularDataset) -> DecisionStump:
         order = np.argsort(x[:, j], kind="stable")
         xs = x[order, j]
         pos_left = np.cumsum(y[order])  # positives with value <= xs[i]
-        for i in np.flatnonzero(xs[1:] > xs[:-1]):
-            thr = (xs[i] + xs[i + 1]) / 2.0
-            # polarity +1: predict 1 for x > thr
-            correct_hi = (n_pos - pos_left[i]) + ((i + 1) - pos_left[i])
-            for polarity, correct in ((1, correct_hi), (-1, n - correct_hi)):
-                acc = correct / n
-                if acc > best_acc or (not best_is_split and acc == best_acc):
-                    best_acc = acc
-                    best = (j, thr, polarity)
-                    best_is_split = True
+        splits = np.flatnonzero(xs[1:] > xs[:-1])
+        if not splits.size:
+            continue
+        # polarity +1 predicts 1 for x > thr; each split's +1 count precedes its -1 count
+        correct_hi = (n_pos - pos_left[splits]) + ((splits + 1) - pos_left[splits])
+        correct = np.column_stack([correct_hi, n - correct_hi]).ravel()
+        k = int(np.argmax(correct))  # the first best in that order
+        acc = correct[k] / n
+        if acc > best_acc or (not best_is_split and acc == best_acc):
+            i = splits[k // 2]
+            best_acc = acc
+            best = (j, (xs[i] + xs[i + 1]) / 2.0, 1 - 2 * (k % 2))
+            best_is_split = True
     return DecisionStump(best[0], float(best[1]), best[2])
 
 

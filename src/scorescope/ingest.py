@@ -410,7 +410,8 @@ def csv_rows(path: str | Path, kind: str) -> Iterator[tuple[int, list[str]]]:
     """Lazily yield a CSV file's stripped header as ``(1, header)``, then
     ``(row_no, cells)`` for each non-blank row, numbered as in the file.
 
-    A UTF-8 byte-order mark at the start, as spreadsheet exports write, is dropped."""
+    A non-blank row must have as many cells as the header. A UTF-8
+    byte-order mark at the start, as spreadsheet exports write, is dropped."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -420,6 +421,8 @@ def csv_rows(path: str | Path, kind: str) -> Iterator[tuple[int, list[str]]]:
             yield 1, [h.strip() for h in header]
             for row_no, row in enumerate(reader, start=2):
                 if any(cell.strip() for cell in row):
+                    if len(row) != len(header):
+                        raise InputError(f"row {row_no}: expected {len(header)} fields, got {len(row)}")
                     yield row_no, row
     except OSError as exc:
         raise InputError(f"cannot read {kind} {path}: {exc}") from exc
@@ -451,8 +454,6 @@ def read_paired(path: str | Path) -> PairedPredictions:
     pred_b = array("d")
     labels = array("b")
     for row_no, row in rows:
-        if len(row) != len(header):
-            raise InputError(f"row {row_no}: expected {len(header)} fields, got {len(row)}")
         if not row[0].strip():
             raise InputError(f"row {row_no}: empty entity_id")
         pred_a.append(_parse_unit_score(row[1].strip(), row_no, "pred_a"))
@@ -490,8 +491,6 @@ def read_tabular(path: str | Path, target_column: str, *, impute: bool = False) 
     values = array("d")  # row-major feature cells, NaN where missing
     labels = array("b")
     for row_no, row in rows:
-        if len(row) != len(header):
-            raise InputError(f"row {row_no}: expected {len(header)} fields, got {len(row)}")
         cell = row[target_idx].strip()
         if cell not in ("0", "1"):
             raise InputError(f"row {row_no}: target {target_column!r} must be 0 or 1, got {cell!r}")

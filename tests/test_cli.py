@@ -6,6 +6,8 @@ import json
 import math
 import tempfile
 import xml.etree.ElementTree as ET
+from dataclasses import asdict, dataclass, is_dataclass
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import bimodal_scores, central_scores, median_split_availability, score_records
-from scorescope.cli import main
+from scorescope import cli
+from scorescope.cli import _emit, _emit_alert, main
+from scorescope.construction import BiasSeverity
 from scorescope.errors import InputError
 from scorescope.ingest import read_score_log, write_score_log
-from scorescope.rdc import build_rdc
+from scorescope.monitor import AlertEvent, AlertKind
+from scorescope.rdc import RdcPattern, build_rdc
 
 
 def run(argv, capsys):
@@ -150,6 +155,24 @@ class TestRdcCommand:
         assert (code, out) == (2, "")
         assert err == f"error: models 'm/1' and 'm_1' both chart to {tmp_path / 'out_m_1.svg'}\n"
         assert not list(tmp_path.glob("*.svg"))
+
+    def test_chart_titles_are_escaped_text(self, tmp_path, capsys):
+        # a lone surrogate reaches the model id through a JSON \ud800 escape, and UTF-8 cannot encode it
+        records = score_records(bimodal_scores(1200, 1), model_id="A&B<x>") + score_records(
+            bimodal_scores(1200, 2), model_id="m\ud800"
+        )
+        path = tmp_path / "odd.jsonl"
+        write_score_log(records, path)
+        code, _, err = run(["rdc", "--input", str(path), "--svg", str(tmp_path / "chart.svg")], capsys)
+        assert (code, err) == (0, "")
+        titles = {}
+        for name in ("chart_A_B_x_.svg", "chart_m_.svg"):
+            root = ET.parse(tmp_path / name).getroot()
+            titles[name] = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text") if "counts" in t.text]
+        assert titles == {
+            "chart_A_B_x_.svg": ["A&B<x> (counts, n=1200)"],
+            "chart_m_.svg": ["m\\ud800 (counts, n=1200)"],
+        }
 
     def test_per_class_reports(self, tmp_path, capsys):
         records = score_records(bimodal_scores(1000, 1), class_label="a") + score_records(
@@ -809,6 +832,75 @@ class TestReportEnvelope:
         assert a.read_bytes() == b.read_bytes()
 
 
+def _reference_jsonable(obj):
+    """The copy-then-dump conversion the ``json.dumps`` hook replaced."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {k: _reference_jsonable(v) for k, v in asdict(obj).items()}
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, dict):
+        return {str(k): _reference_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_reference_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    return obj
+
+
+@dataclass(frozen=True)
+class _Inner:
+    counts: np.ndarray
+    severity: BiasSeverity
+    band: tuple
+
+
+@dataclass(frozen=True)
+class _Outer:
+    inner: _Inner
+    flag: np.bool_
+    rates: dict
+
+
+class TestJsonHook:
+    def report(self):
+        inner = _Inner(np.arange(4, dtype=np.int32), BiasSeverity.MILD, (np.float64(0.1), (1, "x")))
+        return {
+            "outer": _Outer(inner, np.bool_(True), {"base": np.float64(1 / 3), "v1": None}),
+            "pattern": RdcPattern.HEALTHY_BIMODAL,
+            "ints": np.array([[1, 2], [3, 4]], dtype=np.int64),
+            "floats": np.array([0.1, 1 / 3, -0.0, 1e300], dtype=np.float64),
+            "float32": np.array([0.1, 2.5], dtype=np.float32),
+            "bools": np.array([True, False]),
+            "scalars": [np.int64(-7), np.float64(2 / 3), np.bool_(False), np.float32(0.1), np.uint8(200)],
+            "tuple": (1, 2.5, "three", None, True),
+            "nested": {"a": [np.int64(1), {"b": np.float64(2.0), "c": (np.int8(3),)}]},
+        }
+
+    def test_report_text_matches_the_copy_then_dump_conversion(self, capsys):
+        _emit(self.report(), None)
+        want = json.dumps(_reference_jsonable(self.report()), indent=2, sort_keys=True) + "\n"
+        assert capsys.readouterr().out == want
+
+    def test_alert_line_matches_the_field_by_field_line(self, capsys):
+        detail = {"tv": np.float64(0.25), "bins": np.int64(100), "from": RdcPattern.NOISY, "modes": np.array([3, 70])}
+        alert = AlertEvent("m1", 4, AlertKind.DRIFT, detail)
+        _emit_alert(alert)
+        line = {"model_id": "m1", "window_index": 4, "kind": "DRIFT", "detail": _reference_jsonable(detail)}
+        assert capsys.readouterr().out == json.dumps(line, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, 1j, _Inner])
+    def test_unsupported_object_is_a_type_error_not_a_string(self, value, capsys):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            _emit({"results": {"x": value}}, None)
+        assert capsys.readouterr().out == ""
+
+
 def test_every_command_help_lists_defaults(capsys):
     for argv in (
         ["rdc", "--help"],
@@ -999,3 +1091,16 @@ def test_unwritable_output_path_exits_one(tmp_path, bimodal_log, capsys, argv):
     assert (code, out) == (1, "")
     assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
     assert str(target) in err
+
+
+def test_missing_output_directory_is_refused_before_the_handler_runs(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the probe ran although its report cannot be written")
+
+    monkeypatch.setattr(cli, "bias_severity", fail)
+    table = write_csv(tmp_path / "t.csv", "a,b,flag,y", _table_rows())
+    target = tmp_path / "missing" / "r.json"
+    for extra in ([], ["--permutations", "0"]):  # before a bad flag too, as a bad seed is
+        code, out, err = run(["bias", "--input", table, "--availability-column", "flag", "-o", str(target), *extra], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write output: [Errno 2] No such file or directory: '{target}'\n"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from generators import (
     independent_availability,
@@ -17,6 +18,7 @@ from scorescope.construction import (
     DEFAULT_LOGISTIC,
     BiasSeverity,
     LogisticConfig,
+    _columnwise_auc,
     _fit_logistic,
     _standardize,
     _with_ones,
@@ -186,6 +188,122 @@ class TestStump:
         y = np.array([1, 1, 0, 0])  # low values are positive
         stump = train_stump(dataset_from_arrays(("a",), x, y))
         assert (stump.predict_proba(x) == y).all()
+
+
+# The per-column rank loop and the per-split stump loop that the array forms
+# replaced; the array forms must reproduce them bit for bit.
+
+
+def _reference_average_ranks(x):
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    boundary = np.empty(len(xs), dtype=bool)
+    boundary[0] = True
+    boundary[1:] = xs[1:] != xs[:-1]
+    starts = np.flatnonzero(boundary)
+    sizes = np.diff(np.append(starts, len(xs)))
+    group_rank = starts + (sizes - 1) / 2.0 + 1.0
+    ranks = np.empty(len(xs), dtype=np.float64)
+    ranks[order] = np.repeat(group_rank, sizes)
+    return ranks
+
+
+def _reference_columnwise_auc(scores, labels):
+    m, c = scores.shape
+    ranks = np.empty((m, c), dtype=np.float64)
+    for j in range(c):
+        ranks[:, j] = _reference_average_ranks(scores[:, j].astype(np.float64))
+    y = labels.astype(np.float64)
+    n_pos = y.sum(axis=0)
+    n_neg = m - n_pos
+    defined = (n_pos > 0) & (n_neg > 0)
+    denom = np.where(defined, n_pos * n_neg, 1.0)
+    u = (ranks * y).sum(axis=0) - n_pos * (n_pos + 1) / 2.0
+    return np.where(defined, u / denom, 0.5), defined
+
+
+def _reference_auc(scores, labels):
+    s, y = np.asarray(scores, dtype=np.float64), np.asarray(labels)
+    n_pos = int(y.sum())
+    n_neg = int(y.size - n_pos)
+    u = _reference_average_ranks(s)[y == 1].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
+def _reference_stump(x, y):
+    n = len(y)
+    n_pos = int(y.sum())
+    best_acc = max(n_pos, n - n_pos) / n
+    best = (0, -np.inf, 1 if n_pos >= n - n_pos else -1)
+    best_is_split = False
+    for j in range(x.shape[1]):
+        order = np.argsort(x[:, j], kind="stable")
+        xs = x[order, j]
+        pos_left = np.cumsum(y[order])
+        for i in np.flatnonzero(xs[1:] > xs[:-1]):
+            thr = (xs[i] + xs[i + 1]) / 2.0
+            correct_hi = (n_pos - pos_left[i]) + ((i + 1) - pos_left[i])
+            for polarity, correct in ((1, correct_hi), (-1, n - correct_hi)):
+                acc = correct / n
+                if acc > best_acc or (not best_is_split and acc == best_acc):
+                    best_acc = acc
+                    best = (j, thr, polarity)
+                    best_is_split = True
+    return best[0], float(best[1]), best[2]
+
+
+@st.composite
+def _tied_matrices(draw, max_rows=60, max_cols=6):
+    """A score matrix drawing each cell from a few values, so runs of ties are long, and a 0/1 label matrix."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shape = (draw(st.integers(0, max_rows)), draw(st.integers(0, max_cols)))
+    pool = draw(st.lists(st.floats(width=32), min_size=1, max_size=4))  # NaN, infinities and -0.0 included
+    scores = draw(arrays(dtype, shape, elements=st.sampled_from(pool)))
+    labels = draw(arrays(dtype, shape, elements=st.sampled_from([0.0, 1.0])))
+    single = draw(st.sampled_from([None, 0.0, 1.0]))
+    if single is not None:
+        labels[:, ::2] = single  # every other column single-class
+    return scores, labels
+
+
+class TestRankingAgainstReference:
+    @given(_tied_matrices())
+    @settings(max_examples=400, deadline=None)
+    def test_columnwise_auc_is_the_per_column_loop_bit_for_bit(self, drawn):
+        scores, labels = drawn
+        got, defined = _columnwise_auc(scores, labels)
+        if scores.shape[0] == 0:  # the loop cannot rank an empty column; no column has both classes
+            assert not defined.any() and (got == 0.5).all()
+            return
+        want, want_defined = _reference_columnwise_auc(scores, labels)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert (defined == want_defined).all()
+
+    @given(_tied_matrices(max_cols=1))
+    @settings(max_examples=300, deadline=None)
+    def test_auc_is_the_rank_formula_bit_for_bit(self, drawn):
+        scores, labels = drawn[0][:, :1].ravel(), drawn[1][:, :1].ravel()
+        if 0 < labels.sum() < labels.size:
+            assert np.float64(auc(scores, labels)).tobytes() == np.float64(_reference_auc(scores, labels)).tobytes()
+        else:
+            with pytest.raises(PreconditionError, match="both classes must be present"):
+                auc(scores, labels)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_train_stump_is_the_per_split_loop(self, data):
+        n = data.draw(st.integers(2, 30))
+        d = data.draw(st.integers(1, 4))
+        pool = data.draw(st.lists(st.floats(-100, 100), min_size=1, max_size=5))
+        x = data.draw(arrays(np.float64, (n, d), elements=st.sampled_from(pool)))
+        if data.draw(st.booleans()):
+            x[:, data.draw(st.integers(0, d - 1))] = pool[0]  # a constant feature
+        positives = data.draw(st.integers(1, n - 1))  # unbalanced targets too
+        y = np.array([1] * positives + [0] * (n - positives))[data.draw(st.permutations(range(n)))]
+        stump = train_stump(dataset_from_arrays(tuple(f"f{j}" for j in range(d)), x, y))
+        feature, threshold, polarity = _reference_stump(x, y.astype(np.int8))
+        assert (stump.feature, stump.polarity) == (feature, polarity)
+        assert np.float64(stump.threshold).tobytes() == np.float64(threshold).tobytes()
 
 
 class TestBaselines:
