@@ -174,12 +174,13 @@ _BATCH_BYTES = 1 << 16  # per readlines call, so memory stays flat in the file s
 def read_blocked_csv(path: str | Path) -> BlockedOutcomes:
     """Read ``variant,converted`` outcome rows.
 
-    A file made only of the row texts ``write_blocked_csv`` writes is mapped
-    line by line; any other file, or one that cannot be opened, is parsed as
-    CSV, which gives every error text and row number.
+    A regular file made only of the row texts ``write_blocked_csv`` writes is
+    mapped line by line; any other file, or one that cannot be opened, is
+    parsed as CSV, which gives every error text and row number. A pipe or
+    other non-regular file is parsed as CSV at once, as it cannot be read twice.
     """
     path = Path(path)
-    codes = _canonical_codes(path)
+    codes = _canonical_codes(path) if path.is_file() else None
     if codes is None:
         return _parse_blocked_csv(path)
     return BlockedOutcomes(np.frombuffer(codes, dtype=np.uint8))

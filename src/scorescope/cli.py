@@ -9,9 +9,11 @@ ok, 1 input or output error, 2 precondition violation, 3 strict-mode finding.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, is_dataclass, replace
 from enum import Enum
@@ -552,10 +554,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_output_dirs(args) -> None:
-    """Refuse a report, chart or outcome file in a missing directory before the handler runs, as writing it would."""
+    """Refuse a report, chart or outcome file in a missing directory, or a report or outcome file that is
+    a directory, before the handler runs, as writing it would."""
     for value in (args.output, getattr(args, "svg", None), getattr(args, "outcomes", None)):
         if value and not Path(value).parent.is_dir():
             Path(value).touch()  # cannot create it, so it raises the error the write would give
+    for value in (args.output, getattr(args, "outcomes", None)):  # rdc --svg may name a stem for per-model files
+        if value and Path(value).is_dir():  # touch() would not raise here
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(Path(value)))
 
 
 def main(argv=None) -> int:
@@ -578,6 +584,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # every read raises InputError, so this is a report, chart or outcome file
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError as exc:  # a flag such as --permutations or --bins sized an allocation past free memory
+        print(f"error: out of memory: {exc or 'lower --permutations, --bins or the input size'}", file=sys.stderr)
+        return EXIT_PRECONDITION
 
 
 def entrypoint() -> None:

@@ -8,6 +8,7 @@ concurrently on distinct inputs.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
@@ -16,6 +17,7 @@ import sys
 import time
 from array import array
 from dataclasses import dataclass, fields, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Literal, Sequence
 
@@ -430,6 +432,61 @@ def csv_rows(path: str | Path, kind: str) -> Iterator[tuple[int, list[str]]]:
         raise InputError(f"cannot read {kind} {path}: not UTF-8 text ({exc.reason})") from exc
 
 
+# bytes of lines per batch on the column path of a paired CSV; small, so memory stays flat
+_CSV_BATCH_BYTES = 1 << 16
+
+_PAIRED_HEADERS = (["entity_id", "pred_a", "pred_b"], ["entity_id", "pred_a", "pred_b", "label"])
+_LABEL_CODES = {"": -1, "0": 0, "1": 1}  # a paired label cell as read, unstripped
+
+
+class _NotCanonical(ValueError):
+    """A CSV file, or a cell in it, that the column split does not read as it stands."""
+
+
+def _canonical_cells(lines: list[bytes], commas: int) -> list[str]:
+    """The cells of ``lines``, row after row, when each line ends in ``\\n``
+    and holds ``commas`` commas, no ``"`` and no ``\\r``, and is no longer
+    than the csv module's field limit; else raise _NotCanonical.
+
+    Such lines split at their commas into the cells ``csv.reader`` gives,
+    since it ends a row only at ``\\r`` or ``\\n``.
+    """
+    data = b"".join(lines)
+    limit = csv.field_size_limit()
+    if (
+        not data.endswith(b"\n")
+        or b'"' in data
+        or b"\r" in data
+        or set(map(bytes.count, lines, repeat(b","))) != {commas}
+        or (len(data) > limit and max(map(len, lines)) > limit)
+    ):
+        raise _NotCanonical
+    return data[:-1].replace(b"\n", b",").decode("utf-8").split(",")
+
+
+def _csv_columns(path: Path) -> Iterator[list]:
+    """Yield a canonical CSV file's stripped header, then, per batch of about
+    ``_CSV_BATCH_BYTES``, one list of cell strings per column.
+
+    A canonical file starts with no byte-order mark and a non-empty header
+    line, and every line passes ``_canonical_cells`` with the header's comma
+    count; it then holds exactly the rows and cells ``csv_rows`` yields,
+    except for rows whose cells are all whitespace, which ``csv_rows``
+    skips, so a reader must skip those too. Raises _NotCanonical for any
+    other file, UnicodeDecodeError when it is not UTF-8 and OSError when it
+    cannot be read.
+    """
+    with path.open("rb") as fh:
+        first = fh.readline()
+        if first.startswith(codecs.BOM_UTF8) or first == b"\n":  # csv.reader reads an empty line as no cells
+            raise _NotCanonical
+        commas = first.count(b",")
+        yield [cell.strip() for cell in _canonical_cells([first], commas)]
+        while lines := fh.readlines(_CSV_BATCH_BYTES):
+            cells = _canonical_cells(lines, commas)
+            yield [cells[j :: commas + 1] for j in range(commas + 1)]
+
+
 def _parse_unit_score(value: str, row_no: int, column: str) -> float:
     try:
         score = float(value)
@@ -441,18 +498,73 @@ def _parse_unit_score(value: str, row_no: int, column: str) -> float:
 
 
 def read_paired(path: str | Path) -> PairedPredictions:
-    """Read a paired-prediction CSV with header ``entity_id,pred_a,pred_b[,label]``."""
+    """Read a paired-prediction CSV with header ``entity_id,pred_a,pred_b[,label]``.
+
+    A canonical regular file (see ``_csv_columns``) is converted a column at
+    a time, batch by batch; a batch with a cell that reads right only once
+    stripped (a label `` 1``, say) or a whitespace-only row is read row by
+    row. Any other file, and any file with an error, goes through
+    ``csv_rows`` from the start, which gives the same arrays and every error
+    text and row number. A pipe or other non-regular file goes straight to
+    ``csv_rows``, as it cannot be read twice.
+    """
     path = Path(path)
+    if path.is_file():
+        try:
+            return _paired_columns(path)
+        except (InputError, OSError, ValueError):
+            pass
+    return _parse_paired_csv(path)
+
+
+def _paired_columns(path: Path) -> PairedPredictions:
+    columns = _csv_columns(path)
+    if next(columns) not in _PAIRED_HEADERS:
+        raise _NotCanonical
+    # grown in place and wrapped without a copy: no batch arrays left behind in the heap
+    pred_a, pred_b, labels = array("d"), array("d"), array("b")
+    row_no = 2
+    for batch in columns:
+        ids, a, b, *label = batch
+        try:
+            codes = array("b", map(_LABEL_CODES.__getitem__, label[0]) if label else repeat(-1, len(ids)))
+            if not all(map(str.strip, ids)):
+                raise _NotCanonical
+            scores = [np.fromiter(map(float, cells), dtype=np.float64, count=len(cells)) for cells in (a, b)]
+            if not all(((s >= 0.0) & (s <= 1.0)).all() for s in scores):  # NaN fails too
+                raise _NotCanonical
+        except (KeyError, ValueError):  # an odd cell, a whitespace-only row or an error: the csv_rows loop's checks
+            rows = ((n, row) for n, row in enumerate(zip(*batch), row_no) if any(map(str.strip, row)))
+            _append_paired_rows(rows, bool(label), pred_a, pred_b, labels)
+        else:
+            pred_a.frombytes(scores[0].tobytes())
+            pred_b.frombytes(scores[1].tobytes())
+            labels.extend(codes)
+        row_no += len(ids)
+    return PairedPredictions(np.frombuffer(pred_a), np.frombuffer(pred_b), np.frombuffer(labels, dtype=np.int8))
+
+
+def _parse_paired_csv(path: Path) -> PairedPredictions:
+    """``read_paired`` through ``csv_rows``: any valid CSV, and every error with its row number."""
     rows = csv_rows(path, "paired CSV")
     _, header = next(rows)
-    if header not in (["entity_id", "pred_a", "pred_b"], ["entity_id", "pred_a", "pred_b", "label"]):
+    if header not in _PAIRED_HEADERS:
         raise InputError(
             f"{path}: header must be entity_id,pred_a,pred_b[,label], got {','.join(header)}"
         )
-    has_label = len(header) == 4
     pred_a = array("d")
     pred_b = array("d")
     labels = array("b")
+    _append_paired_rows(rows, len(header) == 4, pred_a, pred_b, labels)
+    return PairedPredictions(
+        np.array(pred_a, dtype=np.float64),
+        np.array(pred_b, dtype=np.float64),
+        np.array(labels, dtype=np.int8),
+    )
+
+
+def _append_paired_rows(rows, has_label: bool, pred_a: array, pred_b: array, labels: array) -> None:
+    """Check each ``(row_no, cells)`` of a paired CSV and append its scores and label (−1 when empty)."""
     for row_no, row in rows:
         if not row[0].strip():
             raise InputError(f"row {row_no}: empty entity_id")
@@ -466,11 +578,6 @@ def read_paired(path: str | Path) -> PairedPredictions:
                     raise InputError(f"row {row_no}: label must be 0 or 1, got {cell!r}")
                 label = int(cell)
         labels.append(label)
-    return PairedPredictions(
-        np.array(pred_a, dtype=np.float64),
-        np.array(pred_b, dtype=np.float64),
-        np.array(labels, dtype=np.int8),
-    )
 
 
 def read_tabular(path: str | Path, target_column: str, *, impute: bool = False) -> TabularDataset:
@@ -527,7 +634,8 @@ def read_tabular(path: str | Path, target_column: str, *, impute: bool = False) 
             if mask.all():
                 raise InputError(f"column {feature_names[j]!r} has no observed values to impute from")
             if mask.any():
-                col[mask] = col[~mask].mean()
+                with np.errstate(over="ignore"):  # an overflowing mean is refused just below
+                    col[mask] = col[~mask].mean()
                 if not np.isfinite(col).all():
                     raise InputError(f"column {feature_names[j]!r}: mean of observed values is not finite")
     return TabularDataset(feature_names, features, np.array(labels, dtype=np.int8))

@@ -1104,3 +1104,37 @@ def test_missing_output_directory_is_refused_before_the_handler_runs(tmp_path, c
         code, out, err = run(["bias", "--input", table, "--availability-column", "flag", "-o", str(target), *extra], capsys)
         assert (code, out) == (1, "")
         assert err == f"error: cannot write output: [Errno 2] No such file or directory: '{target}'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, step",
+    [
+        (["bias", "--input", "TABLE", "--availability-column", "flag", "-o", "DIR"], "bias_severity"),
+        (["blocked", "simulate", "--n-users", "10", "--base-cvr", "0.1", "--outcomes", "DIR"], "simulate_blocked"),
+    ],
+    ids=["bias-output", "simulate-outcomes"],
+)
+def test_output_that_is_a_directory_is_refused_before_the_handler_runs(tmp_path, capsys, monkeypatch, argv, step):
+    def fail(*args, **kwargs):
+        raise AssertionError("the handler ran although its output cannot be written")
+
+    monkeypatch.setattr(cli, step, fail)
+    table = write_csv(tmp_path / "t.csv", "a,b,flag,y", _table_rows())
+    target = tmp_path / "reports"
+    target.mkdir()
+    code, out, err = run([{"TABLE": table, "DIR": f"{target}/"}.get(arg, arg) for arg in argv], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write output: [Errno 21] Is a directory: '{target}'\n"
+    assert list(target.iterdir()) == []
+
+
+@pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 8.00 TiB"), MemoryError()], ids=["message", "bare"])
+def test_memory_error_in_a_handler_is_one_error_line_and_exit_two(capsys, monkeypatch, exc):
+    def exhausted(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_power", exhausted)
+    code, out, err = run(["power", "--p-control", "0.1", "--mde", "0.02"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert str(exc) in err

@@ -1,11 +1,13 @@
 """Parsing, validation and round-trip behavior of the input readers."""
 
+import csv
 import json
+import os
 import re
 import tempfile
 import threading
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import chain
 from pathlib import Path
 from unittest import mock
@@ -369,6 +371,11 @@ class TestTabular:
         with pytest.raises(InputError, match="not numeric"):
             read_tabular(write_lines(tmp_path / "t.csv", lines), "y")
 
+    def test_impute_refuses_a_mean_that_overflows_without_a_warning(self, tmp_path):
+        lines = ["a,y", "1e308,1", "1.5e308,0", ",1"]
+        with pytest.raises(InputError, match="^column 'a': mean of observed values is not finite$"):
+            read_tabular(write_lines(tmp_path / "t.csv", lines), "y", impute=True)
+
     @pytest.mark.parametrize("cell, reason", [("x", "not numeric"), ("inf", "non-finite")])
     def test_error_names_file_row_after_blank_row(self, tmp_path, cell, reason):
         lines = ["a,target", "1,0", "", "2,1", f"{cell},1"]
@@ -414,6 +421,29 @@ def test_csv_byte_order_mark_is_dropped(tmp_path, read, text):
     plain.write_bytes(text)
     marked.write_bytes(b"\xef\xbb\xbf" + text)  # as spreadsheet exports write UTF-8
     assert read(marked) == read(plain)
+
+
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        (read_paired, b"entity_id,pred_a,pred_b,label\r\ne1,0.25,0.5,1\r\ne2,1,0.75,\r\n"),
+        (read_paired, b"entity_id,pred_a,pred_b,label\ne1,0.25,0.5,1\ne2,1,0.75, 1\n"),
+        (lambda path: read_tabular(path, "y"), b"x,y\r\n0.25,0\r\n0.75,1\r\n"),
+        (lambda path: read_blocked_csv(path).codes.tolist(), b"variant,converted\r\nbase,1\r\nv1, 0\r\n"),
+    ],
+    ids=["paired-crlf", "paired-padded-label", "tabular-crlf", "blocked-padded-flag"],
+)
+def test_a_pipe_reads_as_a_regular_file(tmp_path, read, text):
+    """Each file is one that a first, quicker pass gives up on; a second read of a pipe would find it drained."""
+    path = tmp_path / "input.csv"
+    path.write_bytes(text)
+    r, w = os.pipe()
+    try:
+        os.write(w, text)  # far below a pipe's buffer, so no writer thread is needed
+        os.close(w)
+        assert read(f"/dev/fd/{r}") == read(path)
+    finally:
+        os.close(r)
 
 
 def _oracle(path, data: bytes, rescale: bool):
@@ -522,3 +552,194 @@ def test_reader_matches_parse_score_line_line_by_line(groups, final_newline, res
     assert got == expected
     if not isinstance(got, str):
         assert got[0].score.tobytes() == expected[0].score.tobytes()  # == takes -0.0 for 0.0; the bytes do not
+
+
+# ---------------------------------------------------------------------------
+# the column path of read_paired against its csv_rows loop
+# ---------------------------------------------------------------------------
+
+
+def _csv_outcome(read, path):
+    """What a CSV reader gives: each field's dtype, shape and bytes (or value), or the error type and text."""
+    try:
+        result = read(path)
+    except (InputError, csv.Error) as exc:
+        return type(exc).__name__, str(exc)
+    values = [getattr(result, f.name) for f in fields(result)]
+    return [(v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v for v in values]
+
+
+def _assert_reads_as_csv_rows(path, batch_bytes, read, parse):
+    """``read`` gives what its ``csv_rows`` loop ``parse`` gives, its column path reading ``batch_bytes`` at a time."""
+    with mock.patch.object(ingest, "_CSV_BATCH_BYTES", batch_bytes):
+        assert _csv_outcome(read, path) == _csv_outcome(parse, path)
+
+
+_PAIRED_READERS = (read_paired, ingest._parse_paired_csv)
+
+
+_PAIRED_HEADER = b"entity_id,pred_a,pred_b,label"
+_UNIT_CELLS = st.floats(0, 1).map(repr) | st.sampled_from(["0", "1", "-0.0", "1e-320", "5e-1", " 0.25", "0_0.5", ".5"])
+_IDS = st.text(st.characters(blacklist_characters=',"\r\n', blacklist_categories=("Cs",)), min_size=1, max_size=4)
+_PAIRED_ROWS = st.tuples(_IDS, _UNIT_CELLS, _UNIT_CELLS, st.sampled_from(["", "0", "1"])).map(
+    lambda cells: ",".join(cells).encode()
+)
+# each line one that only the csv_rows loop reads right, or one it reads as an error
+_ODD_PAIRED_LINES = [
+    b'"e1",0.5,0.5,1', b'e1,"0.5",0.5,', b'e1,0.5,0.5,"1', b'"e1,0.5,0.5,', b'e2",0.25,0.75,1',
+    b"e1,0.5\r,0.5,1", b"e1,0.5,0.5,1\r", b"e1\x0b0.25\x0b0.75\x0b1\x0be2,0.5,0.5,0",
+    b"", b" , , , ", b",,,", b"\t",
+    b"e1,0.5,0.5", b"e1,0.5,0.5,1,", b"e1,0.5,0.5,1,x", b"e1",
+    b"e1,nan,0.5,", b"e1,0.5,NaN,1", b"e1,inf,0.5,", b"e1,0.5,-Infinity,", b"e1,1e400,0.5,", b"e1,1.5,0.5,",
+    b"e1,0.5,-0.25,0", b"e1,1_0,0.5,", b"e1,0.5,x,1", b"e1,,0.5,1",
+    b"e1,0.5,0.5,2", b"e1,0.5,0.5, 1", b"e1,0.5,0.5,1 ", b"e1,0.5,0.5,true", b"e1,0.5,0.5,1.0",
+    "e1,\u30000.5\u3000,0.5,".encode(), "e1,\x850.5,0.5\x85,1".encode(), b"e1,\x1c0.5,0.5,", b"e1,0.5,0.5,\x1c1",
+    b"e\x0b1,0.5,0.5,1", b"e1,0.5\x0b,0.5,", b"e1,0.5,0.5,\x0b",
+    b",0.5,0.5,1", b" ,0.5,0.5,1", "\u3000,0.5,0.5,".encode(), b"\x1c,0.5,0.5,0",
+    "\ufeffe1,0.5,0.5,1".encode(), b"caf\xe9,0.5,0.5,", b"\xed\xa0\x80,0.5,0.5,",
+    b"e\x001,0.5,0.5,", b"e1,0.5\x00,0.5,",
+]
+_ODD_PAIRED_HEADERS = [
+    b"",
+    b"\xef\xbb\xbf" + _PAIRED_HEADER,
+    b" entity_id , pred_a,pred_b,label\t",
+    b'"entity_id",pred_a,pred_b,label',
+    _PAIRED_HEADER + b",",
+    b"entity_id,pred_a",
+    b"Entity_id,pred_a,pred_b,label",
+    _PAIRED_HEADER + b"\r",
+    b"entity_id,pred_a,pred_b,lab\xe9l",
+]
+
+
+def _mostly(common, rare, one_in: int):
+    """``common``, except one time in ``one_in``, when ``rare``; shrinks towards ``common``."""
+    return st.integers(1, one_in).flatmap(lambda k: rare if k == one_in else common)
+
+
+def _without_label(line: bytes) -> bytes:
+    return line.rsplit(b",", 1)[0] if line.count(b",") == 3 else line
+
+
+@st.composite
+def _csv_files(draw, header: bytes, rows: list[bytes]) -> bytes:
+    """The header and rows as a file: mostly ``\\n`` endings and a final newline, else some ``\\r\\n`` or none."""
+    lines = [header, *rows]
+    mixed = st.lists(st.sampled_from([b"\n", b"\r\n"]), min_size=len(lines), max_size=len(lines))
+    endings = draw(_mostly(st.just([b"\n"] * len(lines)), mixed, 10))
+    if draw(_mostly(st.just(False), st.just(True), 10)):
+        endings[-1] = b""
+    return b"".join(line + end for line, end in zip(lines, endings))
+
+
+# most examples are canonical files, so most take the column path
+@given(
+    st.data(),
+    _mostly(st.sampled_from([_PAIRED_HEADER, b"entity_id,pred_a,pred_b"]), st.sampled_from(_ODD_PAIRED_HEADERS), 5),
+    st.lists(_PAIRED_ROWS, max_size=30),
+    _mostly(st.just([]), st.lists(st.sampled_from(_ODD_PAIRED_LINES), min_size=1, max_size=2), 5),
+    st.integers(1, 200),
+)
+@settings(max_examples=300, deadline=None)
+def test_read_paired_matches_the_csv_rows_loop(data, header, canonical, odd, batch_bytes):
+    rows = data.draw(st.permutations(canonical + odd))
+    if header.count(b",") == 2:
+        rows = [_without_label(row) for row in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pairs.csv"
+        path.write_bytes(data.draw(_csv_files(header, rows)))
+        _assert_reads_as_csv_rows(path, batch_bytes, *_PAIRED_READERS)
+
+
+_ROWS_BEFORE, _ROWS_AFTER = [b"e1,0.25,0.5,1", b"e2,0.75,0.125,"], [b"e3,1,0,0", b"e4,0.5,0.5,"]
+_LIMIT = csv.field_size_limit()
+
+
+def _paired_file(*lines: bytes) -> bytes:
+    return b"".join(line + b"\n" for line in [_PAIRED_HEADER, *_ROWS_BEFORE, *lines, *_ROWS_AFTER])
+
+
+_PAIRED_CASES = {
+    "quotes": _paired_file(b'"e5",0.5,0.5,1'),
+    "quoted-comma": _paired_file(b'"e,5",0.5,0.5,1'),
+    "quoted-newline": _paired_file(b'"e5,0.5,0.5,', b'e6",0.25,0.75,1'),  # one row to csv.reader, two split at \n
+    "lone-cr": _paired_file(b"e5,0.5\r0.5,0.5,1"),
+    "lone-cr-before-a-comma": _paired_file(b"e5,0.5\r,0.5,1"),  # float() takes "0.5\r"; csv.reader ends the row there
+    "crlf-endings": _paired_file().replace(b"\n", b"\r\n"),
+    "blank-line": _paired_file(b""),
+    "whitespace-line": _paired_file(b" , , , "),
+    "short-and-long-lines": _paired_file(b"e5,0.5,0.5", b"e6,0.5,0.5,1,"),
+    "short-and-long-lines-that-realign": _paired_file(b"e5,0.5,0.5", b",e6,0.25,0.75,1"),
+    "nan": _paired_file(b"e5,NaN,0.5,1"),
+    "inf": _paired_file(b"e5,0.5,inf,1"),
+    "1e400": _paired_file(b"e5,1e400,0.5,"),
+    "out-of-range": _paired_file(b"e5,0.5,1.0000001,0"),
+    "underscore": _paired_file(b"e5,1_0,0.5,0"),
+    "underscore-in-range": _paired_file(b"e5,0_0.5,0.5,0"),
+    "label-2": _paired_file(b"e5,0.5,0.5,2"),
+    "label-space-1": _paired_file(b"e5,0.5,0.5, 1"),
+    "ideographic-space": _paired_file("e5,\u30000.5,0.5,1".encode()),
+    "next-line": _paired_file("e5,0.5\x85,0.5,1".encode()),
+    "file-separator": _paired_file(b"e5,\x1c0.5,0.5,1"),
+    "vertical-tab-in-id": _paired_file(b"e\x0b5,0.5,0.5,1"),
+    "vertical-tab-in-score": _paired_file(b"e5,0.5\x0b,0.5,1"),
+    "line-separator-in-id": _paired_file("e\u20285,0.5,0.5,1".encode()),
+    # one row to csv.reader, two to str.splitlines
+    "vertical-tabs-in-id": _paired_file(b"e5\x0b0.25\x0b0.75\x0b1\x0be6,0.5,0.5,0"),
+    "line-separators-in-id": _paired_file("e5\u20280.25\u20280.75\u20281\u2028e6,0.5,0.5,0".encode()),
+    "no-final-newline": _paired_file()[:-1],
+    "bom": b"\xef\xbb\xbf" + _paired_file(),
+    "empty-id": _paired_file(b",0.5,0.5,1"),
+    "whitespace-id": _paired_file(b"  ,0.5,0.5,1"),
+    "not-utf8": _paired_file(b"caf\xe9,0.5,0.5,1"),
+    "id-at-field-limit": _paired_file(b"e" * _LIMIT + b",0.5,0.5,1"),
+    "id-past-field-limit": _paired_file(b"e" * (_LIMIT + 1) + b",0.5,0.5,1"),
+    "header-only": _PAIRED_HEADER + b"\n",
+    "header-only-no-newline": _PAIRED_HEADER,
+    "blank-header": b"\n" + _paired_file()[len(_PAIRED_HEADER) + 1 :],
+    "three-column-header": _paired_file().replace(b",label\n", b"\n", 1),
+    "empty-file": b"",
+    "missing-file": None,
+}
+
+
+@pytest.mark.parametrize("batch_bytes", [7, 1 << 16])
+@pytest.mark.parametrize("content", _PAIRED_CASES.values(), ids=_PAIRED_CASES.keys())
+def test_odd_paired_file_reads_as_the_csv_rows_loop_reads_it(tmp_path, content, batch_bytes):
+    path = tmp_path / "pairs.csv"
+    if content is not None:
+        path.write_bytes(content)
+    _assert_reads_as_csv_rows(path, batch_bytes, *_PAIRED_READERS)
+
+
+class TestColumnPathIsTaken:
+    """Canonical files read without the csv_rows loop, so a column path that always fell back would fail here."""
+
+    def test_benchmark_shaped_pairs(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n = 5000
+        pred_a, pred_b = rng.random(n), rng.random(n)
+        labels = np.where(rng.random(n) < 0.75, rng.integers(0, 2, n), -1)
+        path = tmp_path / "pairs.csv"
+        with path.open("w", encoding="utf-8") as fh:  # as perfbench writes pairs.csv
+            fh.write("entity_id,pred_a,pred_b,label\n")
+            for i, (a, b, label) in enumerate(zip(pred_a.tolist(), pred_b.tolist(), labels.tolist())):
+                fh.write(f"e{i},{a!r},{b!r},{label if label >= 0 else ''}\n")
+        with mock.patch.object(ingest, "csv_rows", side_effect=AssertionError("csv_rows used")):
+            pairs = read_paired(path)
+        assert pairs.pred_a.tobytes() == pred_a.tobytes() and pairs.pred_b.tobytes() == pred_b.tobytes()
+        assert pairs.labels.dtype == np.int8 and pairs.labels.tolist() == labels.tolist()
+
+    def test_header_only_file(self, tmp_path):
+        with mock.patch.object(ingest, "csv_rows", side_effect=AssertionError("csv_rows used")):
+            assert len(read_paired(write_lines(tmp_path / "p.csv", ["entity_id,pred_a,pred_b"]))) == 0
+
+    def test_odd_cells_and_a_whitespace_row_are_read_in_their_batch(self, tmp_path):
+        lines = ["entity_id,pred_a,pred_b,label"] + [f"e{i},0.25,0.5,{i % 2}" for i in range(3000)]
+        lines[-1] = "e2999,0.25, 0.75 , 1"  # in the last batch, as a late odd cell is the costliest to restart on
+        lines.insert(1500, " , , , ")
+        path = write_lines(tmp_path / "pairs.csv", lines)
+        with mock.patch.object(ingest, "csv_rows", side_effect=AssertionError("csv_rows used")):
+            pairs = read_paired(path)
+        assert len(pairs) == 3000 and pairs.pred_b[-1] == 0.75 and pairs.labels.tolist() == [0, 1] * 1500
+        assert pairs == ingest._parse_paired_csv(path)
