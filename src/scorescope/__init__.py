@@ -28,7 +28,6 @@ from .construction import (
     bias_severity,
     class_balance,
     learnability_gap,
-    train_logistic,
     train_stump,
 )
 from .errors import InputError, PreconditionError, ScorescopeError

@@ -171,6 +171,14 @@ def cmd_rdc(args):
         return diag, entry
 
     by_model = group_by(columns, "model_id")
+    svg_targets: dict[str, Path] = {}  # named before any chart is built, so a directory is refused before the run
+    if args.svg:
+        svg = Path(args.svg)
+        for model_id, rows in by_model.items():
+            target = svg if len(by_model) == 1 else svg.with_name(f"{svg.stem}_{_safe_name(model_id)}{svg.suffix}")
+            if len(rows) >= dconf.min_samples and target.is_dir():  # a smaller model is skipped, not charted
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+            svg_targets[model_id] = target
     for model_id, rows in by_model.items():
         rdc = build_rdc(columns.score[rows], dconf.bins)
         diag, entry = chart_entry(model_id, rdc)
@@ -188,18 +196,14 @@ def cmd_rdc(args):
         reasons = "; ".join(f"{model_id}: {entry['skipped']}" for model_id, entry in results["models"].items())
         raise PreconditionError(f"no model has enough records to diagnose ({reasons})")
 
-    if args.svg:
-        svg_path = Path(args.svg)
-        targets: dict[Path, str] = {}
-        for model_id in charts:
-            target = svg_path
-            if len(by_model) > 1:
-                target = svg_path.with_name(f"{svg_path.stem}_{_safe_name(model_id)}{svg_path.suffix}")
-            if target in targets:
-                raise PreconditionError(f"models {targets[target]!r} and {model_id!r} both chart to {target}")
-            targets[target] = model_id
-        for target, model_id in targets.items():
-            target.write_text(charts[model_id], encoding="utf-8")
+    charted: dict[Path, str] = {}  # model id per chart file
+    for model_id in charts:
+        target = svg_targets[model_id]
+        if target in charted:
+            raise PreconditionError(f"models {charted[target]!r} and {model_id!r} both chart to {target}")
+        charted[target] = model_id
+    for target, model_id in charted.items():
+        target.write_text(charts[model_id], encoding="utf-8")
 
     code = EXIT_STRICT if args.strict and unhealthy else EXIT_OK
     if unhealthy:
@@ -554,12 +558,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_output_dirs(args) -> None:
-    """Refuse a report, chart or outcome file in a missing directory, or a report or outcome file that is
-    a directory, before the handler runs, as writing it would."""
+    """Refuse a report, chart or outcome file in a missing directory, or a report, outcome or curve chart
+    file that is a directory, before the handler runs, as writing it would."""
     for value in (args.output, getattr(args, "svg", None), getattr(args, "outcomes", None)):
         if value and not Path(value).parent.is_dir():
             Path(value).touch()  # cannot create it, so it raises the error the write would give
-    for value in (args.output, getattr(args, "outcomes", None)):  # rdc --svg may name a stem for per-model files
+    # rdc --svg may name a stem for per-model files, so cmd_rdc checks its own
+    for value in (args.output, getattr(args, "outcomes", None), args.svg if args.command == "curve" else None):
         if value and Path(value).is_dir():  # touch() would not raise here
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(Path(value)))
 

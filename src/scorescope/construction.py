@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError
-from .ingest import TabularDataset, _ArrayFieldsEq
+from .ingest import TabularDataset
 
 
 @dataclass(frozen=True)
@@ -35,29 +35,6 @@ class LogisticConfig:
 
 
 DEFAULT_LOGISTIC = LogisticConfig()
-
-
-@dataclass(frozen=True, eq=False)
-class LogisticModel(_ArrayFieldsEq):
-    """Logistic regression trained on standardized features.
-
-    Standardization statistics are stored so prediction accepts raw
-    features; constant columns are dropped at fit time and ignored after.
-    """
-
-    weights: np.ndarray  # one weight per kept feature
-    bias: float
-    feature_means: np.ndarray
-    feature_stds: np.ndarray
-    kept: np.ndarray  # boolean mask over the original feature columns
-
-    def decision_values(self, features) -> np.ndarray:
-        x = np.asarray(features, dtype=np.float64)[:, self.kept]
-        z = (x - self.feature_means) / self.feature_stds
-        return z @ self.weights + self.bias
-
-    def predict_proba(self, features) -> np.ndarray:
-        return 0.5 + 0.5 * np.tanh(self.decision_values(features) / 2)
 
 
 @dataclass(frozen=True)
@@ -187,15 +164,6 @@ def _fit_logistic(xb: np.ndarray, ys: np.ndarray, logistic: LogisticConfig) -> n
         g += const
         w -= step * g
     return w
-
-
-def train_logistic(dataset: TabularDataset, config: LogisticConfig = DEFAULT_LOGISTIC) -> LogisticModel:
-    """Full-batch gradient descent on log loss, zero-initialized, standardized features."""
-    x, y = dataset.rows, dataset.target
-    _check_training_input(x, y)
-    z, means, stds, kept = _standardize(x)
-    w = _fit_logistic(_with_ones(z, np.float64), y[:, None].astype(np.float64), config)[:, 0]
-    return LogisticModel(w[:-1], w[-1], means, stds, kept)
 
 
 def train_stump(dataset: TabularDataset) -> DecisionStump:

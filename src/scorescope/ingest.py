@@ -87,10 +87,6 @@ class TabularDataset(_ArrayFieldsEq):
     def n(self) -> int:
         return self.rows.shape[0]
 
-    @property
-    def arity(self) -> int:
-        return self.rows.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class ScoreColumns(_ArrayFieldsEq):
@@ -413,7 +409,8 @@ def csv_rows(path: str | Path, kind: str) -> Iterator[tuple[int, list[str]]]:
     ``(row_no, cells)`` for each non-blank row, numbered as in the file.
 
     A non-blank row must have as many cells as the header. A UTF-8
-    byte-order mark at the start, as spreadsheet exports write, is dropped."""
+    byte-order mark at the start, as spreadsheet exports write, is dropped.
+    A cell past the csv module's field limit is an InputError naming its line."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -430,6 +427,8 @@ def csv_rows(path: str | Path, kind: str) -> Iterator[tuple[int, list[str]]]:
         raise InputError(f"cannot read {kind} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot read {kind} {path}: not UTF-8 text ({exc.reason})") from exc
+    except csv.Error as exc:  # a cell past the csv module's field limit
+        raise InputError(f"cannot read {kind} {path}: line {reader.line_num}: {exc}") from exc
 
 
 # bytes of lines per batch on the column path of a paired CSV; small, so memory stays flat

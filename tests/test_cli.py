@@ -1,6 +1,7 @@
 """End-to-end command behavior: reports, exit codes, charts, determinism."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -1111,10 +1112,14 @@ def test_missing_output_directory_is_refused_before_the_handler_runs(tmp_path, c
     [
         (["bias", "--input", "TABLE", "--availability-column", "flag", "-o", "DIR"], "bias_severity"),
         (["blocked", "simulate", "--n-users", "10", "--base-cvr", "0.1", "--outcomes", "DIR"], "simulate_blocked"),
+        (["curve", "--baseline", "0.8", "--grid", "0.8:0.9:0.05", "--svg", "DIR"], "curve_chart"),
+        (["rdc", "--input", "LOG", "--svg", "DIR"], "build_rdc"),  # one model: --svg names its chart file
     ],
-    ids=["bias-output", "simulate-outcomes"],
+    ids=["bias-output", "simulate-outcomes", "curve-svg", "rdc-svg"],
 )
-def test_output_that_is_a_directory_is_refused_before_the_handler_runs(tmp_path, capsys, monkeypatch, argv, step):
+def test_output_that_is_a_directory_is_refused_before_the_handler_runs(
+    tmp_path, bimodal_log, capsys, monkeypatch, argv, step
+):
     def fail(*args, **kwargs):
         raise AssertionError("the handler ran although its output cannot be written")
 
@@ -1122,10 +1127,50 @@ def test_output_that_is_a_directory_is_refused_before_the_handler_runs(tmp_path,
     table = write_csv(tmp_path / "t.csv", "a,b,flag,y", _table_rows())
     target = tmp_path / "reports"
     target.mkdir()
-    code, out, err = run([{"TABLE": table, "DIR": f"{target}/"}.get(arg, arg) for arg in argv], capsys)
+    paths = {"TABLE": table, "LOG": bimodal_log, "DIR": f"{target}/"}
+    code, out, err = run([paths.get(arg, arg) for arg in argv], capsys)
     assert (code, out) == (1, "")
     assert err == f"error: cannot write output: [Errno 21] Is a directory: '{target}'\n"
     assert list(target.iterdir()) == []
+
+
+def test_rdc_per_model_chart_that_is_a_directory_is_refused_before_any_chart(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a chart was built although one cannot be written")
+
+    monkeypatch.setattr(cli, "build_rdc", fail)
+    records = score_records(bimodal_scores(50, 0), model_id="a")  # too small to chart, so its file is never written
+    for k, model_id in enumerate("bc", start=1):
+        records += score_records(bimodal_scores(2000, k), model_id=model_id)
+    path = tmp_path / "models.jsonl"
+    write_score_log(records, path)
+    for name in ("chart_a.svg", "chart_c.svg"):
+        (tmp_path / name).mkdir()
+    code, out, err = run(["rdc", "--input", str(path), "--svg", str(tmp_path / "chart.svg")], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write output: [Errno 21] Is a directory: '{tmp_path / 'chart_c.svg'}'\n"
+    assert not (tmp_path / "chart_b.svg").exists()
+
+
+_PAST_FIELD_LIMIT = "e" * 140_000  # the csv module's default field limit is 131 072 characters
+
+
+@pytest.mark.parametrize(
+    "argv, header, rows, kind",
+    [
+        (["disagree"], "entity_id,pred_a,pred_b,label", ["e1,0.2,0.7,1", _PAST_FIELD_LIMIT + ",0.5,0.5,1"], "paired"),
+        (["bias", "--availability-column", "flag"], "a,b,flag,y", ["1,2,0,1", _PAST_FIELD_LIMIT + ",1,0,1"], "tabular"),
+        (["setup", "--target", "y"], "a,b,flag,y", ["1,2,0,1", _PAST_FIELD_LIMIT + ",1,0,1"], "tabular"),
+        (["blocked", "analyze"], "variant,converted", ["base,1", _PAST_FIELD_LIMIT + ",1"], "outcomes"),
+    ],
+    ids=["disagree", "bias", "setup", "blocked-analyze"],
+)
+def test_cell_past_the_csv_field_limit_is_one_error_line(tmp_path, capsys, argv, header, rows, kind):
+    path = write_csv(tmp_path / "in.csv", header, rows)
+    code, out, err = run([*argv, "--input", path], capsys)
+    assert (code, out) == (1, "")
+    limit = csv.field_size_limit()
+    assert err == f"error: cannot read {kind} CSV {path}: line 3: field larger than field limit ({limit})\n"
 
 
 @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 8.00 TiB"), MemoryError()], ids=["message", "bare"])

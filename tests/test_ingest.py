@@ -336,7 +336,7 @@ class TestTabular:
     def test_basic_parse(self, tmp_path):
         lines = ["a,b,y"] + [f"{i},{i * 2},{i % 2}" for i in range(5)]
         ds = read_tabular(write_lines(tmp_path / "t.csv", lines), "y")
-        assert ds.n == 5 and ds.arity == 2
+        assert ds.n == 5 and ds.rows.shape[1] == 2
         assert ds.feature_names == ("a", "b")
         assert ds.rows[3, 1] == 6.0
 

@@ -3,13 +3,17 @@
 In every module but ``__init__.py``, each imported name must be used in that
 module, and each module-level private function, class or assignment must be
 used somewhere in the package. A line marked ``# noqa: F401`` is exempt (a
-deliberate re-export).
+deliberate re-export). Each module-level public function or class must be
+read by a package module (a re-export in ``__init__.py`` does not count), by
+the benchmark or by the acceptance criteria.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "scorescope"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "scorescope"
+READERS = (*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py")
 
 
 def _used_names(tree: ast.AST) -> set[str]:
@@ -70,6 +74,22 @@ def dead_code(src: Path = SRC) -> list[str]:
     return problems
 
 
+def unread_public_names(src: Path = SRC, readers=READERS) -> list[str]:
+    """One line per module-level public function or class under ``src`` that neither a module
+    other than ``__init__.py`` nor any of ``readers`` reads."""
+    modules = [path for path in sorted(src.glob("*.py")) if path.name != "__init__.py"]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in [*modules, *readers]}
+    read = set().union(*map(_used_names, trees.values()))
+    return [
+        f"{path.name}:{node.lineno}: {node.name} is never read"
+        for path in modules
+        for node in trees[path].body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
+
+
 def test_no_unused_import_or_private_name():
     assert dead_code() == []
 
@@ -81,3 +101,22 @@ def test_the_check_finds_an_unused_import_and_a_dead_helper(tmp_path):
         encoding="utf-8",
     )
     assert dead_code(tmp_path) == ["mod.py:1: import json is unused", "mod.py:6: _dead is never used"]
+
+
+def test_every_public_name_is_read():
+    assert unread_public_names() == []
+
+
+def test_the_check_finds_a_public_name_only_a_re_export_reads(tmp_path):
+    src, readers = tmp_path / "pkg", tmp_path / "readers"
+    src.mkdir()
+    readers.mkdir()
+    (src / "__init__.py").write_text("from .mod import exported, run\n", encoding="utf-8")
+    (src / "mod.py").write_text(
+        "class Model:\n    pass\n\n\ndef exported():\n    return Model()\n\n\n"
+        "def helper():\n    pass\n\n\ndef benched():\n    pass\n\n\ndef run():\n    helper()\n",
+        encoding="utf-8",
+    )
+    (src / "other.py").write_text("from .mod import run\n", encoding="utf-8")
+    (readers / "bench.py").write_text("from pkg.mod import benched\n", encoding="utf-8")
+    assert unread_public_names(src, [readers / "bench.py"]) == ["mod.py:5: exported is never read"]
