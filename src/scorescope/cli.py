@@ -171,14 +171,18 @@ def cmd_rdc(args):
         return diag, entry
 
     by_model = group_by(columns, "model_id")
-    svg_targets: dict[str, Path] = {}  # named before any chart is built, so a directory is refused before the run
+    svg_targets: dict[Path, str] = {}  # charted model per chart file, named before any chart is built
     if args.svg:
         svg = Path(args.svg)
         for model_id, rows in by_model.items():
+            if len(rows) < dconf.min_samples:  # skipped, not charted
+                continue
             target = svg if len(by_model) == 1 else svg.with_name(f"{svg.stem}_{_safe_name(model_id)}{svg.suffix}")
-            if len(rows) >= dconf.min_samples and target.is_dir():  # a smaller model is skipped, not charted
+            if target.is_dir():
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
-            svg_targets[model_id] = target
+            if target in svg_targets:
+                raise PreconditionError(f"models {svg_targets[target]!r} and {model_id!r} both chart to {target}")
+            svg_targets[target] = model_id
     for model_id, rows in by_model.items():
         rdc = build_rdc(columns.score[rows], dconf.bins)
         diag, entry = chart_entry(model_id, rdc)
@@ -196,13 +200,7 @@ def cmd_rdc(args):
         reasons = "; ".join(f"{model_id}: {entry['skipped']}" for model_id, entry in results["models"].items())
         raise PreconditionError(f"no model has enough records to diagnose ({reasons})")
 
-    charted: dict[Path, str] = {}  # model id per chart file
-    for model_id in charts:
-        target = svg_targets[model_id]
-        if target in charted:
-            raise PreconditionError(f"models {charted[target]!r} and {model_id!r} both chart to {target}")
-        charted[target] = model_id
-    for target, model_id in charted.items():
+    for target, model_id in svg_targets.items():
         target.write_text(charts[model_id], encoding="utf-8")
 
     code = EXIT_STRICT if args.strict and unhealthy else EXIT_OK

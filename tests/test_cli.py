@@ -146,7 +146,11 @@ class TestRdcCommand:
         assert root.tag.endswith("svg")
         assert root.attrib["width"] == "800" and root.attrib["height"] == "400"
 
-    def test_svg_names_that_collide_exit_two_before_writing(self, tmp_path, capsys):
+    def test_svg_names_that_collide_exit_two_before_writing(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a chart was built although two models would write it to one file")
+
+        monkeypatch.setattr(cli, "build_rdc", fail)
         records = score_records(bimodal_scores(2000, 1), model_id="m/1") + score_records(
             bimodal_scores(2000, 2), model_id="m_1"
         )
