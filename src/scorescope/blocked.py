@@ -18,7 +18,7 @@ import numpy as np
 
 from ._stats import two_proportion_ztest
 from .errors import InputError, PreconditionError
-from .ingest import csv_rows
+from .ingest import csv_rows, read_csv
 
 
 class Variant(enum.Enum):
@@ -168,36 +168,26 @@ def write_blocked_csv(outcomes: BlockedOutcomes, path: str | Path) -> None:
 # each row text write_blocked_csv writes, ending in \r\n, in \n or (the last row) in nothing, mapped to its code
 _CANONICAL_ROWS = {f"{row}{end}".encode(): code for code, row in enumerate(_ROWS) for end in ("\r\n", "\n", "")}
 _CANONICAL_HEADERS = {f"{_HEADER}{end}".encode() for end in ("\r\n", "\n", "")}
-_BATCH_BYTES = 1 << 16  # per readlines call, so memory stays flat in the file size
 
 
 def read_blocked_csv(path: str | Path) -> BlockedOutcomes:
     """Read ``variant,converted`` outcome rows.
 
-    A regular file made only of the row texts ``write_blocked_csv`` writes is
-    mapped line by line; any other file, or one that cannot be opened, is
-    parsed as CSV, which gives every error text and row number. A pipe or
-    other non-regular file is parsed as CSV at once, as it cannot be read twice.
+    Through ``read_csv``: a file made only of the row texts
+    ``write_blocked_csv`` writes is mapped line by line, and any other file
+    is parsed as CSV, which gives every error text and row number.
     """
-    path = Path(path)
-    codes = _canonical_codes(path) if path.is_file() else None
-    if codes is None:
-        return _parse_blocked_csv(path)
-    return BlockedOutcomes(np.frombuffer(codes, dtype=np.uint8))
+    return read_csv(path, _canonical_outcomes, _parse_blocked_csv)
 
 
-def _canonical_codes(path: Path) -> array | None:
-    """Per-row outcome codes of a file of canonical rows, else None."""
+def _canonical_outcomes(first: bytes, batches) -> BlockedOutcomes:
+    """Outcomes of a file of canonical rows; a ValueError or KeyError for any other file."""
+    if first not in _CANONICAL_HEADERS:
+        raise ValueError("not the canonical header")
     codes = array("B")
-    try:
-        with path.open("rb") as fh:
-            if fh.readline(64) not in _CANONICAL_HEADERS:  # a longer first line is not canonical either
-                return None
-            while batch := fh.readlines(_BATCH_BYTES):
-                codes.extend(map(_CANONICAL_ROWS.__getitem__, batch))
-    except (OSError, KeyError):  # unreadable, or a row that is not canonical
-        return None
-    return codes
+    for batch in batches:
+        codes.extend(map(_CANONICAL_ROWS.__getitem__, batch))
+    return BlockedOutcomes(np.frombuffer(codes, dtype=np.uint8))
 
 
 def _parse_blocked_csv(path: Path) -> BlockedOutcomes:

@@ -110,7 +110,7 @@ def _load_overrides(path: str | None) -> dict:
     return data
 
 
-def _apply_section(instance, section: str, overrides: dict):
+def _apply_section(instance, section: str, overrides: dict, **flags):
     data = overrides.get(section, {})
     if not isinstance(data, dict):
         raise InputError(f"config section {section!r} must be an object")
@@ -129,11 +129,12 @@ def _apply_section(instance, section: str, overrides: dict):
             raise PreconditionError(f"{section} {key} must be {'a number' if number else 'an integer'}, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):  # json.loads accepts NaN and Infinity
             raise PreconditionError(f"{section} {key} must be a finite number, got {value!r}")
-    return replace(instance, **data) if data else instance
+    changes = {**flags, **data}  # flags and config keys checked together, a config key overriding its flag
+    return replace(instance, **changes) if changes else instance
 
 
 def _diagnosis_config(args, overrides: dict):
-    return _apply_section(replace(DEFAULT_DIAGNOSIS, bins=args.bins), "diagnosis", overrides)
+    return _apply_section(DEFAULT_DIAGNOSIS, "diagnosis", overrides, bins=args.bins)
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +568,10 @@ def _check_output_dirs(args) -> None:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(Path(value)))
 
 
+# the characters str.splitlines breaks at, escaped so that an error echoing input text stays one line
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -579,17 +584,15 @@ def main(argv=None) -> int:
         _emit(_envelope(command, inputs, results, decisions), args.output)
         return code
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        message, code = str(exc), EXIT_INPUT
     except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        message, code = str(exc), EXIT_PRECONDITION
     except OSError as exc:  # every read raises InputError, so this is a report, chart or outcome file
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        message, code = f"cannot write output: {exc}", EXIT_INPUT
     except MemoryError as exc:  # a flag such as --permutations or --bins sized an allocation past free memory
-        print(f"error: out of memory: {exc or 'lower --permutations, --bins or the input size'}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        message, code = f"out of memory: {exc or 'lower --permutations, --bins or the input size'}", EXIT_PRECONDITION
+    print(f"error: {message}".translate(_LINE_BREAKS), file=sys.stderr)
+    return code
 
 
 def entrypoint() -> None:

@@ -8,7 +8,6 @@ concurrently on distinct inputs.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import json
 import math
@@ -16,14 +15,17 @@ import os
 import sys
 import time
 from array import array
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import InputError
+
+_T = TypeVar("_T")
 
 # cell spellings treated as a missing value in tabular CSVs
 _MISSING_TOKENS = frozenset({"", "na", "nan", "null"})
@@ -52,7 +54,7 @@ class ScoreRecord:
     true_label: int | None = None
 
 
-class _ArrayFieldsEq:
+class ArrayFieldsEq:
     """Value ``==`` for dataclasses with ndarray fields, whose generated ``==`` raises."""
 
     __hash__ = None
@@ -64,7 +66,7 @@ class _ArrayFieldsEq:
 
 
 @dataclass(frozen=True, eq=False)
-class PairedPredictions(_ArrayFieldsEq):
+class PairedPredictions(ArrayFieldsEq):
     """Entities scored by two models, as columns: the input of disagreement analysis."""
 
     pred_a: np.ndarray  # (n,) float64
@@ -76,7 +78,7 @@ class PairedPredictions(_ArrayFieldsEq):
 
 
 @dataclass(frozen=True, eq=False)
-class TabularDataset(_ArrayFieldsEq):
+class TabularDataset(ArrayFieldsEq):
     """Numeric feature matrix plus a binary target vector."""
 
     feature_names: tuple[str, ...]
@@ -89,7 +91,7 @@ class TabularDataset(_ArrayFieldsEq):
 
 
 @dataclass(frozen=True, eq=False)
-class ScoreColumns(_ArrayFieldsEq):
+class ScoreColumns(ArrayFieldsEq):
     """Score-log records as columns, in file order: the fields some caller reads.
 
     Model ids and class labels are codes into tables sorted by id. A line's
@@ -431,21 +433,38 @@ def csv_rows(path: str | Path, kind: str) -> Iterator[tuple[int, list[str]]]:
         raise InputError(f"cannot read {kind} {path}: line {reader.line_num}: {exc}") from exc
 
 
-# bytes of lines per batch on the column path of a paired CSV; small, so memory stays flat
+# bytes of lines per batch on a CSV fast path; small, so memory stays flat
 _CSV_BATCH_BYTES = 1 << 16
 
+
+def read_csv(path: str | Path, fast: Callable[[bytes, Iterator[list[bytes]]], _T], slow: Callable[[Path], _T]) -> _T:
+    """Read a CSV file through ``fast`` when it can, else through ``slow(path)``.
+
+    A regular file goes to ``fast(first, batches)``: its first line, then its
+    other lines in batches of about ``_CSV_BATCH_BYTES``, as bytes. When
+    ``fast`` gives up (a ValueError or LookupError), finds an InputError or
+    the file cannot be read, ``slow`` reads it from the start and gives every
+    error text and row number. A pipe goes straight to ``slow``, as it cannot
+    be read twice.
+    """
+    path = Path(path)
+    if path.is_file():
+        try:
+            with path.open("rb") as fh:
+                return fast(fh.readline(), iter(lambda: fh.readlines(_CSV_BATCH_BYTES), []))
+        except (InputError, OSError, ValueError, LookupError):
+            pass
+    return slow(path)
+
+
 _PAIRED_HEADERS = (["entity_id", "pred_a", "pred_b"], ["entity_id", "pred_a", "pred_b", "label"])
-_LABEL_CODES = {"": -1, "0": 0, "1": 1}  # a paired label cell as read, unstripped
-
-
-class _NotCanonical(ValueError):
-    """A CSV file, or a cell in it, that the column split does not read as it stands."""
+_LABEL_CODES = {"": -1, "0": 0, "1": 1}  # the code of a paired label cell; the column path reads it unstripped
 
 
 def _canonical_cells(lines: list[bytes], commas: int) -> list[str]:
     """The cells of ``lines``, row after row, when each line ends in ``\\n``
     and holds ``commas`` commas, no ``"`` and no ``\\r``, and is no longer
-    than the csv module's field limit; else raise _NotCanonical.
+    than the csv module's field limit; else raise ValueError.
 
     Such lines split at their commas into the cells ``csv.reader`` gives,
     since it ends a row only at ``\\r`` or ``\\n``.
@@ -459,31 +478,8 @@ def _canonical_cells(lines: list[bytes], commas: int) -> list[str]:
         or set(map(bytes.count, lines, repeat(b","))) != {commas}
         or (len(data) > limit and max(map(len, lines)) > limit)
     ):
-        raise _NotCanonical
+        raise ValueError("not a canonical CSV batch")
     return data[:-1].replace(b"\n", b",").decode("utf-8").split(",")
-
-
-def _csv_columns(path: Path) -> Iterator[list]:
-    """Yield a canonical CSV file's stripped header, then, per batch of about
-    ``_CSV_BATCH_BYTES``, one list of cell strings per column.
-
-    A canonical file starts with no byte-order mark and a non-empty header
-    line, and every line passes ``_canonical_cells`` with the header's comma
-    count; it then holds exactly the rows and cells ``csv_rows`` yields,
-    except for rows whose cells are all whitespace, which ``csv_rows``
-    skips, so a reader must skip those too. Raises _NotCanonical for any
-    other file, UnicodeDecodeError when it is not UTF-8 and OSError when it
-    cannot be read.
-    """
-    with path.open("rb") as fh:
-        first = fh.readline()
-        if first.startswith(codecs.BOM_UTF8) or first == b"\n":  # csv.reader reads an empty line as no cells
-            raise _NotCanonical
-        commas = first.count(b",")
-        yield [cell.strip() for cell in _canonical_cells([first], commas)]
-        while lines := fh.readlines(_CSV_BATCH_BYTES):
-            cells = _canonical_cells(lines, commas)
-            yield [cells[j :: commas + 1] for j in range(commas + 1)]
 
 
 def _parse_unit_score(value: str, row_no: int, column: str) -> float:
@@ -499,41 +495,40 @@ def _parse_unit_score(value: str, row_no: int, column: str) -> float:
 def read_paired(path: str | Path) -> PairedPredictions:
     """Read a paired-prediction CSV with header ``entity_id,pred_a,pred_b[,label]``.
 
-    A canonical regular file (see ``_csv_columns``) is converted a column at
-    a time, batch by batch; a batch with a cell that reads right only once
-    stripped (a label `` 1``, say) or a whitespace-only row is read row by
-    row. Any other file, and any file with an error, goes through
-    ``csv_rows`` from the start, which gives the same arrays and every error
-    text and row number. A pipe or other non-regular file goes straight to
-    ``csv_rows``, as it cannot be read twice.
+    Through ``read_csv``: a canonical file (see ``_paired_columns``) is
+    converted a column at a time, batch by batch, and any other file is read
+    through ``csv_rows``, which gives the same arrays and every error text
+    and row number.
     """
-    path = Path(path)
-    if path.is_file():
-        try:
-            return _paired_columns(path)
-        except (InputError, OSError, ValueError):
-            pass
-    return _parse_paired_csv(path)
+    return read_csv(path, _paired_columns, _parse_paired_csv)
 
 
-def _paired_columns(path: Path) -> PairedPredictions:
-    columns = _csv_columns(path)
-    if next(columns) not in _PAIRED_HEADERS:
-        raise _NotCanonical
+def _paired_columns(first: bytes, batches: Iterator[list[bytes]]) -> PairedPredictions:
+    """The fast path of ``read_paired``: a file whose header and lines all pass
+    ``_canonical_cells`` splits at its commas into exactly the rows and cells
+    ``csv_rows`` yields, except for rows whose cells are all whitespace, which
+    ``csv_rows`` skips. A batch with such a row, or with a cell that reads
+    right only once stripped (a label `` 1``, say), is read row by row.
+    """
+    header = [cell.strip() for cell in _canonical_cells([first], first.count(b","))]
+    if header not in _PAIRED_HEADERS:  # a byte-order mark or an empty line fails here too
+        raise ValueError("not a paired CSV header")
+    width = len(header)
     # grown in place and wrapped without a copy: no batch arrays left behind in the heap
     pred_a, pred_b, labels = array("d"), array("d"), array("b")
     row_no = 2
-    for batch in columns:
-        ids, a, b, *label = batch
+    for lines in batches:
+        cells = _canonical_cells(lines, width - 1)
+        ids, a, b, *label = columns = [cells[j::width] for j in range(width)]
         try:
             codes = array("b", map(_LABEL_CODES.__getitem__, label[0]) if label else repeat(-1, len(ids)))
             if not all(map(str.strip, ids)):
-                raise _NotCanonical
-            scores = [np.fromiter(map(float, cells), dtype=np.float64, count=len(cells)) for cells in (a, b)]
+                raise ValueError("an empty entity_id")
+            scores = [np.fromiter(map(float, column), dtype=np.float64, count=len(column)) for column in (a, b)]
             if not all(((s >= 0.0) & (s <= 1.0)).all() for s in scores):  # NaN fails too
-                raise _NotCanonical
+                raise ValueError("a score outside [0, 1]")
         except (KeyError, ValueError):  # an odd cell, a whitespace-only row or an error: the csv_rows loop's checks
-            rows = ((n, row) for n, row in enumerate(zip(*batch), row_no) if any(map(str.strip, row)))
+            rows = ((n, row) for n, row in enumerate(zip(*columns), row_no) if any(map(str.strip, row)))
             _append_paired_rows(rows, bool(label), pred_a, pred_b, labels)
         else:
             pred_a.frombytes(scores[0].tobytes())
@@ -569,14 +564,10 @@ def _append_paired_rows(rows, has_label: bool, pred_a: array, pred_b: array, lab
             raise InputError(f"row {row_no}: empty entity_id")
         pred_a.append(_parse_unit_score(row[1].strip(), row_no, "pred_a"))
         pred_b.append(_parse_unit_score(row[2].strip(), row_no, "pred_b"))
-        label = -1
-        if has_label:
-            cell = row[3].strip()
-            if cell:
-                if cell not in ("0", "1"):
-                    raise InputError(f"row {row_no}: label must be 0 or 1, got {cell!r}")
-                label = int(cell)
-        labels.append(label)
+        cell = row[3].strip() if has_label else ""
+        if cell not in _LABEL_CODES:
+            raise InputError(f"row {row_no}: label must be 0 or 1, got {cell!r}")
+        labels.append(_LABEL_CODES[cell])
 
 
 def read_tabular(path: str | Path, target_column: str, *, impute: bool = False) -> TabularDataset:
@@ -589,6 +580,9 @@ def read_tabular(path: str | Path, target_column: str, *, impute: bool = False) 
     path = Path(path)
     rows = csv_rows(path, "tabular CSV")
     _, header = next(rows)
+    repeated = [name for name, count in Counter(header).items() if count > 1]
+    if repeated:  # else a column named twice is read as whichever copy a caller finds first
+        raise InputError(f"{path}: column {repeated[0]!r} appears more than once in the header")
     if target_column not in header:
         raise InputError(f"{path}: target column {target_column!r} not in header {header}")
     target_idx = header.index(target_column)

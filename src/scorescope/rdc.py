@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import PreconditionError
-from .ingest import ScoreColumns, _ArrayFieldsEq
+from .ingest import ArrayFieldsEq, ScoreColumns
 
 
 class RdcPattern(enum.Enum):
@@ -30,7 +30,7 @@ class RdcPattern(enum.Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class Rdc(_ArrayFieldsEq):
+class Rdc(ArrayFieldsEq):
     """Histogram of model scores over [0, 1]."""
 
     edges: np.ndarray  # bin_count + 1 ascending edges, edges[0] = 0, edges[-1] = 1
@@ -88,7 +88,7 @@ def log_view(rdc: Rdc) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class SmoothedRdc(_ArrayFieldsEq):
+class SmoothedRdc(ArrayFieldsEq):
     """Moving-average view of an Rdc plus how far the raw shape sits from it.
 
     ``roughness`` is the L1 residual sum |f_i - heights_i| between the raw
@@ -226,6 +226,9 @@ class ThresholdBand:
     recommended: float
 
 
+MAX_BINS = 10_000  # a bound on --bins, so a typo cannot size a histogram past memory
+
+
 @dataclass(frozen=True)
 class DiagnosisConfig:
     """Tunable thresholds behind ``diagnose``.
@@ -250,8 +253,12 @@ class DiagnosisConfig:
         # checked here, not first when a chart is built, so a run that charts nothing still rejects them
         if self.bins < 2:
             raise PreconditionError("bin_count must be >= 2")
+        if self.bins > MAX_BINS:
+            raise PreconditionError(f"bin_count must be <= {MAX_BINS}, got {self.bins}")
         if self.window < 1 or self.window % 2 == 0:
             raise PreconditionError(f"diagnosis window must be an odd integer >= 1, got {self.window}")
+        if self.window > self.bins:
+            raise PreconditionError(f"diagnosis window must be at most bin_count {self.bins}, got {self.window}")
         if self.min_samples < 1:
             raise PreconditionError(f"diagnosis min_samples must be >= 1, got {self.min_samples}")
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scorescope import blocked
+from scorescope import blocked, ingest
 from scorescope.blocked import (
     BlockedDesign,
     BlockedOutcomes,
@@ -236,9 +236,10 @@ def _read_or_error(read, path):
     st.lists(_CANONICAL_ROWS, max_size=40),
     st.lists(_OTHER_ROWS, max_size=2),
     st.booleans(),
+    st.integers(1, 64),
 )
 @settings(max_examples=500, deadline=None)
-def test_reader_matches_the_csv_parser(data, header, canonical, other, final_newline):
+def test_reader_matches_the_csv_parser(data, header, canonical, other, final_newline, batch_bytes):
     rows = data.draw(st.permutations(canonical + other))
     endings = data.draw(st.lists(st.sampled_from([b"\n", b"\r\n"]), min_size=len(rows) + 1, max_size=len(rows) + 1))
     text = b"".join(line + end for line, end in zip([header, *rows], endings))
@@ -247,7 +248,8 @@ def test_reader_matches_the_csv_parser(data, header, canonical, other, final_new
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "outcomes.csv"
         path.write_bytes(text)
-        assert _read_or_error(read_blocked_csv, path) == _read_or_error(blocked._parse_blocked_csv, path)
+        with mock.patch.object(ingest, "_CSV_BATCH_BYTES", batch_bytes):  # a few rows per batch
+            assert _read_or_error(read_blocked_csv, path) == _read_or_error(blocked._parse_blocked_csv, path)
 
 
 @pytest.mark.parametrize("odd", [row for group in _ODD_ROW_GROUPS for row in group])

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from generators import bimodal_scores, central_scores, median_split_availability, score_records
@@ -477,6 +477,14 @@ class TestSetupCommand:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv", [["bias"], ["setup", "--target", "y"]], ids=["bias", "setup"])
+def test_a_column_named_twice_is_one_error_line(tmp_path, capsys, argv):
+    rows = [f"{i % 2},{i % 3},{i % 2},{i % 5}" for i in range(60)]  # the first a is binary, the second is not
+    path = write_csv(tmp_path / "t.csv", "a,b,y,a", rows)
+    code, out, err = run([*argv, "--input", path, "--availability-column", "a", "--permutations", "5"], capsys)
+    assert (code, out, err) == (1, "", f"error: {path}: column 'a' appears more than once in the header\n")
+
+
 class TestBlockedCommands:
     def test_simulate_then_analyze(self, tmp_path, capsys):
         outcomes = tmp_path / "outcomes.csv"
@@ -807,6 +815,9 @@ def test_zero_bins_exits_two(bimodal_log, capsys, command):
         (100, {"min_samples": -5}, "diagnosis min_samples must be >= 1, got -5"),
         (100, {"window": 0}, "diagnosis window must be an odd integer >= 1, got 0"),
         (100, {"window": 4}, "diagnosis window must be an odd integer >= 1, got 4"),
+        (3, {}, "diagnosis window must be at most bin_count 3, got 5"),
+        (100, {"window": 101}, "diagnosis window must be at most bin_count 100, got 101"),
+        (10_001, {}, "bin_count must be <= 10000, got 10001"),
     ],
 )
 def test_diagnosis_config_is_checked_when_no_window_completes(tmp_path, capsys, bins, diagnosis, message):
@@ -815,6 +826,17 @@ def test_diagnosis_config_is_checked_when_no_window_completes(tmp_path, capsys, 
     stream = write_log(tmp_path / "s.jsonl", bimodal_scores(50, 0))  # under one window: nothing is charted
     argv = ["watch", "--input", stream, "--once", "--bins", str(bins), "--config", str(config)]
     assert run(argv, capsys) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["rdc", "watch"])
+def test_bins_below_the_default_window_run_with_a_config_window_that_fits(tmp_path, capsys, bimodal_log, command):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"diagnosis": {"window": 3}}), encoding="utf-8")
+    report = tmp_path / "r.json"
+    argv = [command, "--input", bimodal_log, "--bins", "3", "--config", str(config), "--output", str(report)]
+    code, _, err = run(argv + (["--once"] if command == "watch" else []), capsys)
+    decisions = json.loads(report.read_text())["decisions"]
+    assert (code, err) == (0, "") and decisions.get("diagnosis", decisions)["bins"] == 3  # watch nests it
 
 
 class TestReportEnvelope:
@@ -982,6 +1004,7 @@ def _flags(**values):
 
 
 _SEEDS = st.integers(-3, -1) | st.integers(0, 2**64)  # a negative seed half the time
+_BINS = st.integers(-2, 200) | st.sampled_from([10_001, 10**9])  # in range, or past MAX_BINS
 
 _TINY_ARGVS = st.one_of(
     _flags(p_control=_NUMBERS, mde=_NUMBERS, alpha=_NUMBERS, power=_NUMBERS, disagreement=_NUMBERS).map(
@@ -1002,7 +1025,7 @@ _TINY_ARGVS = st.one_of(
     # the integer flags around their minimums, and a report under a missing directory
     st.builds(
         lambda seed, bins, output: ["rdc", "--input", "LOG", f"--seed={seed}", f"--bins={bins}", *output],
-        _SEEDS, st.integers(-2, 200), st.sampled_from([[], ["--output", "MISSING"]]),
+        _SEEDS, _BINS, st.sampled_from([[], ["--output", "MISSING"]]),
     ),
     st.builds(
         lambda seed, folds, permutations: [
@@ -1023,7 +1046,7 @@ _TINY_ARGVS = st.one_of(
         lambda seed, bins, window, output: [
             "watch", "--input", "LOG", "--once", f"--seed={seed}", f"--bins={bins}", f"--window={window}", *output,
         ],
-        _SEEDS, st.integers(-2, 200), st.integers(-2, 3000),
+        _SEEDS, _BINS, st.integers(-2, 3000),
         st.sampled_from([[], ["--output", "MISSING"]]),
     ),
     st.builds(
@@ -1062,6 +1085,50 @@ def test_no_traceback_at_any_number_the_cli_accepts(tiny_inputs, argv):
     if code:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+_PAST_FIELD_LIMIT = "e" * 140_000  # the csv module's default field limit is 131 072 characters
+
+
+# each command that reads an input file, with the first line of a file it accepts
+_FILE_COMMANDS = [
+    (["disagree"], b"entity_id,pred_a,pred_b,label\n"),
+    (["bias", "--availability-column", "flag", "--folds=2", "--permutations=2"], b"a,b,flag,y\n"),
+    (["setup", "--target", "y", "--folds=2", "--permutations=2"], b"a,b,flag,y\n"),
+    (["blocked", "analyze"], b"variant,converted\n"),
+    (["rdc"], b'{"model_id": "m", "ts": 0, "score": 0.5}\n'),
+    (["watch", "--once", "--window=20"], b'{"model_id": "m", "ts": 0, "score": 0.5}\n'),
+]
+# written as a cell past the csv module's field limit: a short stand-in keeps a falsifying example readable
+_LONG_CELL = b"<long cell>"
+# pieces of the four formats: rows and lines that read, separators, quotes, numbers the readers refuse,
+# text that is not UTF-8, and a long cell
+_FILE_PIECES = st.sampled_from(
+    [
+        b"e1,0.25,0.75,1\n", b"1,0,1,0\n", b"0,1,0,1\n", b"base,1\n", b"v1,0\n", b"v2,1\n",
+        b'{"model_id": "m", "ts": 1, "score": 0.25}\n', b'{"model_id": "n", "ts": 2, "score": 1, "class": "c"}\n',
+        b",", b"\n", b"\r\n", b"\r", b'"', b" ", b"\t", b"0", b"1", b"0.5", b"-0.0", b"1e400", b"nan", b"inf", b"2",
+        b"{", b"}", b"[", b"]", b":", b'"score"', b'"model_id"', b'"ts"', b"null", b"true", b"-1",
+        b"\xef\xbb\xbf", b"\xff", b"\xed\xa0\x80", b"\x00", b"\x0b", b"\x1c", "\u2028".encode(), b".", b"e",
+        _LONG_CELL,
+    ]
+)
+
+
+@given(st.sampled_from(_FILE_COMMANDS), st.booleans(), st.lists(_FILE_PIECES, max_size=30))
+@example(_FILE_COMMANDS[0], False, [b"0", b"\x0b", b"e1,0.25,0.75,1\n"])  # a header echoed into the error line
+@settings(max_examples=400, deadline=None)
+def test_no_traceback_at_any_input_file(command, with_header, pieces):
+    argv, header = command
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_bytes((header * with_header + b"".join(pieces)).replace(_LONG_CELL, _PAST_FIELD_LIMIT.encode()))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--input", str(path)])
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: "))
 
 
 @pytest.mark.parametrize(
@@ -1154,9 +1221,6 @@ def test_rdc_per_model_chart_that_is_a_directory_is_refused_before_any_chart(tmp
     assert (code, out) == (1, "")
     assert err == f"error: cannot write output: [Errno 21] Is a directory: '{tmp_path / 'chart_c.svg'}'\n"
     assert not (tmp_path / "chart_b.svg").exists()
-
-
-_PAST_FIELD_LIMIT = "e" * 140_000  # the csv module's default field limit is 131 072 characters
 
 
 @pytest.mark.parametrize(

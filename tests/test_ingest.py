@@ -376,6 +376,12 @@ class TestTabular:
         with pytest.raises(InputError, match="^column 'a': mean of observed values is not finite$"):
             read_tabular(write_lines(tmp_path / "t.csv", lines), "y", impute=True)
 
+    @pytest.mark.parametrize("header", ["a,b,y,a", "y,a,y", "a, a ,y"])
+    def test_a_column_named_twice_is_refused(self, tmp_path, header):
+        path = write_lines(tmp_path / "t.csv", [header, ",".join(["1"] * header.count(",")) + ",1"])
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: column '(a|y)' appears more than once"):
+            read_tabular(path, "y")
+
     @pytest.mark.parametrize("cell, reason", [("x", "not numeric"), ("inf", "non-finite")])
     def test_error_names_file_row_after_blank_row(self, tmp_path, cell, reason):
         lines = ["a,target", "1,0", "", "2,1", f"{cell},1"]

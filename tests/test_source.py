@@ -9,7 +9,9 @@ the benchmark or by the acceptance criteria. For this check a module reads a
 name when it loads it as a variable or takes it as an attribute of an
 imported module; importing it without using it does not count. The check
 goes by name only, so a public name is still taken as read when a local
-variable of the same name is loaded anywhere in those files.
+variable of the same name is loaded anywhere in those files. No module
+imports a private name from another package module: a private name is its
+module's own business.
 """
 
 import ast
@@ -116,6 +118,18 @@ def unread_public_names(src: Path = SRC, readers=READERS) -> list[str]:
     ]
 
 
+def private_imports(src: Path = SRC) -> list[str]:
+    """One line per private name that a module under ``src`` imports from another package module."""
+    return [
+        f"{path.name}:{node.lineno}: imports {alias.name} from {'.' * node.level}{node.module or ''}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+
+
 def test_no_unused_import_or_private_name():
     assert dead_code() == []
 
@@ -154,3 +168,16 @@ def test_the_check_finds_public_names_that_nothing_uses(tmp_path):
         "mod.py:17: imported is never read",
         "mod.py:21: shadowed is never read",
     ]
+
+
+def test_no_private_name_is_imported_from_another_module():
+    assert private_imports() == []
+
+
+def test_the_check_finds_a_private_import(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from . import __version__\nfrom ._stats import z_critical\n"
+        "from .ingest import _CSV_BATCH_BYTES, read_csv\nfrom json import _default_decoder\n",
+        encoding="utf-8",
+    )
+    assert private_imports(tmp_path) == ["mod.py:3: imports _CSV_BATCH_BYTES from .ingest"]
