@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -19,7 +18,9 @@ _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 def _text(value: str) -> str:
     """``value`` as SVG text: markup escaped, each code point XML cannot hold written as its backslash escape."""
-    return escape(_NOT_XML.sub(lambda m: m.group().encode("unicode_escape").decode("ascii"), value))
+    value = _NOT_XML.sub(lambda m: m.group().encode("unicode_escape").decode("ascii"), value)
+    # "&" first, so no entity is escaped twice; xml.sax.saxutils.escape would import urllib.request and ssl
+    return value.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(x: float) -> str:

@@ -270,6 +270,7 @@ def cmd_setup(args):
     flags = None
     if args.availability_column:
         dataset, flags = _split_availability(dataset, args.availability_column)
+        check_probe_settings(args.permutations, len(flags))  # before the learnability folds run
     balance = class_balance(dataset.target)
     learnability = learnability_gap(dataset, folds=args.folds, seed=args.seed, logistic=logistic)
     results = {"balance": asdict(balance), "learnability": asdict(learnability), "bias": None}
@@ -412,7 +413,9 @@ def _parse_override(raw: str) -> OverrideRule:
 
 
 def _emit_alert(alert) -> None:
-    sys.stdout.write(json.dumps(alert, sort_keys=True, default=_json_default) + "\n")
+    # the fields as asdict gives them, without its deep copy of detail
+    line = {"detail": alert.detail, "kind": alert.kind.value, "model_id": alert.model_id, "window_index": alert.window_index}
+    sys.stdout.write(json.dumps(line, sort_keys=True, default=_json_default) + "\n")
     sys.stdout.flush()
 
 

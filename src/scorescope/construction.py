@@ -330,10 +330,20 @@ class BiasReport:
     fold_aucs: tuple[float, ...] = field(default=())
 
 
-def check_probe_settings(permutations: int) -> None:
-    """Raise PreconditionError unless ``bias_severity`` can run this many permutations."""
+# a bound on rows x (permutations + 1), the cells of the probe's label matrix; its buffers peak at
+# about 17 bytes a cell, so the cap is under 1 GB, and 200 permutations take up to 248 756 rows
+MAX_PROBE_CELLS = 50_000_000
+
+
+def check_probe_settings(permutations: int, rows: int = 0) -> None:
+    """Raise PreconditionError unless ``bias_severity`` can run this many permutations on ``rows`` rows."""
     if permutations < 1:
         raise PreconditionError("permutations must be >= 1")
+    if rows * (permutations + 1) > MAX_PROBE_CELLS:
+        raise PreconditionError(
+            f"the bias probe needs rows x (permutations + 1) <= {MAX_PROBE_CELLS} label cells, "
+            f"got {rows} x ({permutations} + 1)"
+        )
 
 
 def bias_severity(
@@ -367,7 +377,7 @@ def bias_severity(
     n_labeled = int(y.sum())
     if n_labeled == 0 or n_labeled == n:
         raise PreconditionError("need both labeled and unlabeled observations")
-    check_probe_settings(permutations)
+    check_probe_settings(permutations, n)
 
     rng = np.random.default_rng(seed)
     fold_idx = _fold_indices(n, folds, rng)  # consumes the first draw of the stream

@@ -111,7 +111,10 @@ class ScoreColumns(ArrayFieldsEq):
     @classmethod
     def from_records(cls, records: Iterable[ScoreRecord]) -> ScoreColumns:
         """The records as columns, in order."""
-        return _score_columns([_row(r) for r in records])
+        columns = [], [], [], []
+        for r in records:
+            _append_record(columns, r)
+        return _score_columns(*columns)
 
     @classmethod
     def concat(cls, batches: Sequence[ScoreColumns]) -> ScoreColumns:
@@ -141,8 +144,10 @@ class ScoreColumns(ArrayFieldsEq):
         )
 
 
-def _row(r: ScoreRecord) -> tuple:
-    return r.model_id, r.score, r.entity_id, r.class_label
+def _append_record(columns: tuple[list, list, list, list], r: ScoreRecord) -> None:
+    """Append ``r``'s kept fields to the ``_score_columns`` lists."""
+    for column, value in zip(columns, (r.model_id, r.score, r.entity_id, r.class_label)):
+        column.append(value)
 
 
 def _encode(values: Sequence) -> tuple[tuple[str, ...], np.ndarray]:
@@ -153,9 +158,8 @@ def _encode(values: Sequence) -> tuple[tuple[str, ...], np.ndarray]:
     return table, np.fromiter(map(rank.__getitem__, values), dtype=np.int32, count=len(values))
 
 
-def _score_columns(rows: list[tuple]) -> ScoreColumns:
-    """Columns of ``_row`` tuples."""
-    models, scores, entities, classes = zip(*rows) if rows else [()] * 4
+def _score_columns(models: list, scores: list, entities: list, classes: list) -> ScoreColumns:
+    """Columns of records given field by field, in order."""
     model_ids, model = _encode(models)
     class_ids, class_code = _encode(classes)
     return ScoreColumns(
@@ -322,7 +326,7 @@ def parse_score_lines(
     lo, hi = (-sys.float_info.max, sys.float_info.max) if keep else (0.0, 1.0)  # NaN fails both
     line_no = 0
     for batch in batches:
-        rows = []  # one _row tuple per kept line
+        columns = models, scores, entities, classes = [], [], [], []  # one entry per kept line
         for raw in batch:
             line_no += 1
             try:
@@ -346,17 +350,20 @@ def parse_score_lines(
                     and (c is None or type(c) is str)
                     and (k is None or (type(k) is int and 0 <= k <= 1))
                 ):
-                    rows.append((m, s, e, c))
+                    models.append(m)
+                    scores.append(s)
+                    entities.append(e)
+                    classes.append(c)
                     continue
             if not line.strip():
                 continue
             try:
-                rows.append(_row(parse_score_line(line, allow_out_of_range=keep)))
+                _append_record(columns, parse_score_line(line, allow_out_of_range=keep))
             except _MalformedLine as exc:
                 if out_of_range == "raise" and isinstance(exc, _OutOfRange):
                     raise InputError(f"line {line_no}: {exc} (use rescale to min-max rescale the file)") from None
                 malformed.append((line_no, str(exc)))
-        yield _score_columns(rows)
+        yield _score_columns(*columns)
 
 
 def read_score_log(path: str | Path, *, rescale: bool = False) -> ScoreLog:

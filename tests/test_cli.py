@@ -5,11 +5,14 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from dataclasses import asdict, dataclass, is_dataclass
 from enum import Enum
 from pathlib import Path
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -17,9 +20,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from generators import bimodal_scores, central_scores, median_split_availability, score_records
+import scorescope
 from scorescope import cli
+from scorescope.charts import _text
 from scorescope.cli import _emit, _emit_alert, main
-from scorescope.construction import BiasSeverity
+from scorescope.construction import MAX_PROBE_CELLS, BiasSeverity
 from scorescope.errors import InputError
 from scorescope.ingest import read_score_log, write_score_log
 from scorescope.monitor import AlertEvent, AlertKind
@@ -478,6 +483,16 @@ class TestSetupCommand:
 
 
 @pytest.mark.parametrize("argv", [["bias"], ["setup", "--target", "y"]], ids=["bias", "setup"])
+def test_permutations_past_the_cell_cap_are_one_error_line(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "learnability_gap", None)  # setup refuses before its learnability folds
+    k = MAX_PROBE_CELLS // 60  # 60 x (k + 1) cells, just past the cap
+    path = write_csv(tmp_path / "t.csv", "a,b,flag,y", _table_rows(60))
+    code, out, err = run([*argv, "--input", path, "--availability-column", "flag", f"--permutations={k}"], capsys)
+    message = f"the bias probe needs rows x (permutations + 1) <= {MAX_PROBE_CELLS} label cells, got 60 x ({k} + 1)"
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["bias"], ["setup", "--target", "y"]], ids=["bias", "setup"])
 def test_a_column_named_twice_is_one_error_line(tmp_path, capsys, argv):
     rows = [f"{i % 2},{i % 3},{i % 2},{i % 5}" for i in range(60)]  # the first a is binary, the second is not
     path = write_csv(tmp_path / "t.csv", "a,b,y,a", rows)
@@ -552,6 +567,20 @@ class TestWatchCommand:
         assert report["results"]["windows"] == 2  # one full, one partial
         assert report["results"]["partial_windows"] == 1
         assert report["results"]["alert_count"] == len(alerts)
+
+    def test_alert_lines_match_the_asdict_lines(self, tmp_path, capsys, monkeypatch):
+        reference = write_log(tmp_path / "ref.jsonl", bimodal_scores(3000, 0))
+        drifted = write_log(tmp_path / "drift.jsonl", central_scores(1200, 1))
+        alerts = []
+        watch = cli.watch
+        monkeypatch.setattr(cli, "watch", lambda path, config, emit, **kw: watch(
+            path, config, lambda alert: (alerts.append(alert), emit(alert)), **kw
+        ))
+        argv = ["watch", "--input", drifted, "--reference", reference, "--once", "--window", "300"]
+        code, out, err = run([*argv, "--output", str(tmp_path / "watch.json")], capsys)
+        assert (code, err) == (0, "")
+        assert {alert.kind for alert in alerts} == set(AlertKind)
+        assert out == "".join(json.dumps(_reference_jsonable(alert), sort_keys=True) + "\n" for alert in alerts)
 
     def test_healthy_stream_is_quiet(self, tmp_path, capsys):
         # 2000-record windows keep the total-variation sampling floor (~0.09)
@@ -928,6 +957,19 @@ class TestJsonHook:
         assert capsys.readouterr().out == ""
 
 
+@given(st.text(st.sampled_from("&<>;#\"'amp lté")))
+def test_chart_text_is_escaped_as_xml_sax_escapes_it(text):
+    assert _text(text) == escape(text)
+
+
+def test_importing_the_cli_loads_no_network_or_xml_module():
+    src = Path(scorescope.__file__).parent.parent
+    code = f"import sys; sys.path.insert(0, {str(src)!r}); import scorescope.cli; print(*sys.modules)"
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout.split()
+    heavy = ("xml", "urllib.request", "http.client", "ssl", "email")
+    assert [m for m in loaded if m in heavy or m.startswith(tuple(h + "." for h in heavy))] == []
+
+
 def test_every_command_help_lists_defaults(capsys):
     for argv in (
         ["rdc", "--help"],
@@ -1005,6 +1047,8 @@ def _flags(**values):
 
 _SEEDS = st.integers(-3, -1) | st.integers(0, 2**64)  # a negative seed half the time
 _BINS = st.integers(-2, 200) | st.sampled_from([10_001, 10**9])  # in range, or past MAX_BINS
+# in range, or past MAX_PROBE_CELLS on the 60-row TABLE
+_PERMUTATIONS = st.integers(-2, 4) | st.sampled_from([MAX_PROBE_CELLS // 60, 10**18])
 
 _TINY_ARGVS = st.one_of(
     _flags(p_control=_NUMBERS, mde=_NUMBERS, alpha=_NUMBERS, power=_NUMBERS, disagreement=_NUMBERS).map(
@@ -1032,14 +1076,14 @@ _TINY_ARGVS = st.one_of(
             "bias", "--input", "TABLE", "--availability-column", "flag",
             f"--seed={seed}", f"--folds={folds}", f"--permutations={permutations}",
         ],
-        _SEEDS, st.integers(-2, 8), st.integers(-2, 4),
+        _SEEDS, st.integers(-2, 8), _PERMUTATIONS,
     ),
     st.builds(
         lambda seed, folds, permutations, probe: [
             "setup", "--input", "TABLE", "--target", "y",
             f"--seed={seed}", f"--folds={folds}", f"--permutations={permutations}", *probe,
         ],
-        _SEEDS, st.integers(-2, 8), st.integers(-2, 4),
+        _SEEDS, st.integers(-2, 8), _PERMUTATIONS,
         st.sampled_from([[], ["--availability-column", "flag"]]),
     ),
     st.builds(

@@ -14,6 +14,7 @@ from generators import (
 )
 from scorescope.construction import (
     DEFAULT_LOGISTIC,
+    MAX_PROBE_CELLS,
     BiasSeverity,
     LogisticConfig,
     _columnwise_auc,
@@ -22,6 +23,7 @@ from scorescope.construction import (
     _with_ones,
     auc,
     bias_severity,
+    check_probe_settings,
     class_balance,
     learnability_gap,
     train_stump,
@@ -369,6 +371,17 @@ class TestBiasSeverity:
     def test_all_labeled_rejected(self):
         with pytest.raises(PreconditionError, match="both labeled and unlabeled"):
             bias_severity(np.zeros((10, 1)), np.ones(10, dtype=int))
+
+    def test_a_probe_past_the_cell_cap_is_refused(self):
+        k = MAX_PROBE_CELLS // 10  # 10 x (k + 1) cells, just past the cap
+        message = rf"<= {MAX_PROBE_CELLS} label cells, got 10 x \({k} \+ 1\)$"
+        with pytest.raises(PreconditionError, match=message):
+            bias_severity(np.zeros((10, 1)), np.arange(10) % 2, permutations=k)
+
+    def test_the_cell_cap_is_inclusive(self):
+        check_probe_settings(MAX_PROBE_CELLS // 2 - 1, rows=2)  # the check alone: nothing is allocated
+        with pytest.raises(PreconditionError, match="label cells, got 2 x"):
+            check_probe_settings(MAX_PROBE_CELLS // 2, rows=2)
 
     def test_counts_partition(self):
         x, has = independent_availability(500, seed=4)

@@ -167,6 +167,27 @@ class TestScoreLog:
         expected = [ScoreRecord(f"m{9 - i % 4}", i, 0.5, None, f"c{i % 3}") for i in range(40)]
         assert log.columns == ScoreColumns.from_records(expected)
 
+    def test_lines_parse_score_line_takes_keep_their_place_between_fast_path_lines(self):
+        fast = [
+            b'{"model_id": "m%d", "ts": %d, "score": 0.%d, "entity_id": "e%d"}\n' % (i % 2, i, i, i) for i in range(4)
+        ]
+        slow = [
+            b'{"model_id": "m9", "ts": 7, "score": 1, "class": "c1"}\n',  # an int score
+            b'  {"model_id": "m0", "ts": 8, "score": 0.5, "label": 1}  \r\n',  # padded
+            b'{"model_id": "m\\u00e9", "ts": 9, "score": 0, "entity_id": "e\\"q", "class": "c\\n"}\n',
+        ]
+        batch = [fast[0], slow[0], fast[1], slow[1], fast[2], slow[2], fast[3]]
+        malformed = []
+        with mock.patch.object(ingest, "parse_score_line", wraps=parse_score_line) as slow_parse:
+            (columns,) = ingest.parse_score_lines([batch], malformed)
+        assert [c.args[0] for c in slow_parse.call_args_list] == [line.decode() for line in slow]
+        assert malformed == []
+        assert [columns.model_ids[i] for i in columns.model] == ["m0", "m9", "m1", "m0", "m0", "m\u00e9", "m1"]
+        assert columns.score.tolist() == [0.0, 1.0, 0.1, 0.5, 0.2, 0.0, 0.3]
+        assert columns.entity_id.tolist() == ["e0", None, "e1", None, "e2", 'e"q', "e3"]
+        classes = [columns.class_ids[i] if i >= 0 else None for i in columns.class_code]
+        assert classes == [None, "c1", None, None, None, "c\n", None]
+
     def test_take_keeps_the_code_tables(self, tmp_path):
         lines = ['{"model_id":"m%d","ts":%d,"score":0.5}' % (i % 2, i) for i in range(6)]
         columns = read_score_log(write_lines(tmp_path / "log.jsonl", lines)).columns
