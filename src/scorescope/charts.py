@@ -10,6 +10,8 @@ from .rdc import Rdc, ThresholdBand, log_view
 
 WIDTH = 800
 HEIGHT = 400
+CURVE_X_LABEL = "new model accuracy"
+CURVE_Y_LABEL = "impacted traffic upper bound"
 
 
 # code points XML 1.0 text cannot hold, lone surrogates (which UTF-8 cannot encode) among them
@@ -77,12 +79,7 @@ def _document(body: list[str]) -> str:
     return "\n".join([head, f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>'] + body + ["</svg>"]) + "\n"
 
 
-def rdc_chart(
-    rdc: Rdc,
-    band: ThresholdBand | None = None,
-    mode_locations: tuple[float, ...] = (),
-    title: str = "response distribution",
-) -> str:
+def rdc_chart(rdc: Rdc, band: ThresholdBand | None, mode_locations: tuple[float, ...], title: str) -> str:
     """Two-panel bar chart of an Rdc: linear counts and log(1 + count).
 
     Mode locations get markers, the threshold band a shaded region (both on
@@ -120,11 +117,7 @@ def rdc_chart(
     return _document(body)
 
 
-def curve_chart(
-    points: list[tuple[float, float]],
-    x_label: str = "new model accuracy",
-    y_label: str = "impacted traffic upper bound",
-) -> str:
+def curve_chart(points: list[tuple[float, float]]) -> str:
     """Line chart of (x, y) pairs with x on [min, max] and y from 0."""
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
@@ -142,13 +135,13 @@ def curve_chart(
         [
             f'<line x1="{_fmt(panel.x0)}" y1="{_fmt(panel.y1)}" x2="{_fmt(panel.x1)}" y2="{_fmt(panel.y1)}" stroke="#333"/>',
             f'<line x1="{_fmt(panel.x0)}" y1="{_fmt(panel.y0)}" x2="{_fmt(panel.x0)}" y2="{_fmt(panel.y1)}" stroke="#333"/>',
-            f'<text x="{_fmt((panel.x0 + panel.x1) / 2)}" y="{_fmt(panel.y1 + 30)}" font-size="12" text-anchor="middle" fill="#333">{_text(x_label)}</text>',
+            f'<text x="{_fmt((panel.x0 + panel.x1) / 2)}" y="{_fmt(panel.y1 + 30)}" font-size="12" text-anchor="middle" fill="#333">{_text(CURVE_X_LABEL)}</text>',
             f'<text x="{_fmt(panel.x0 - 6)}" y="{_fmt(panel.y0 + 4)}" font-size="10" text-anchor="end" fill="#333">{_fmt(panel.ymax)}</text>',
             f'<text x="{_fmt(panel.x0 - 6)}" y="{_fmt(panel.y1 + 4)}" font-size="10" text-anchor="end" fill="#333">0</text>',
             f'<text x="{_fmt(panel.x0)}" y="{_fmt(panel.y1 + 14)}" font-size="10" text-anchor="middle" fill="#333">{_fmt(x_lo)}</text>',
             f'<text x="{_fmt(panel.x1)}" y="{_fmt(panel.y1 + 14)}" font-size="10" text-anchor="middle" fill="#333">{_fmt(x_hi)}</text>',
             f'<text x="20" y="{_fmt((panel.y0 + panel.y1) / 2)}" font-size="12" text-anchor="middle" fill="#333" '
-            f'transform="rotate(-90 20 {_fmt((panel.y0 + panel.y1) / 2)})">{_text(y_label)}</text>',
+            f'transform="rotate(-90 20 {_fmt((panel.y0 + panel.y1) / 2)})">{_text(CURVE_Y_LABEL)}</text>',
         ]
     )
     return _document(body)

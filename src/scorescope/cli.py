@@ -192,7 +192,10 @@ def cmd_rdc(args):
             continue
         entry.update(bins=rdc.bin_count, counts=rdc.counts)
         if args.per_class:
-            classes = one_vs_rest(columns.take(rows), dconf.bins)
+            try:
+                classes = one_vs_rest(columns.take(rows), dconf.bins)
+            except PreconditionError as exc:  # else the error counts records of this model alone, unnamed
+                raise PreconditionError(f"model {model_id!r}: {exc}") from None
             entry["classes"] = {label: chart_entry(f"{model_id}/{label}", c)[1] for label, c in classes.items()}
         if args.svg:
             locations = tuple(m["location"] for m in diag.evidence["modes"])

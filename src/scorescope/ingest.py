@@ -448,18 +448,18 @@ def read_csv(path: str | Path, fast: Callable[[bytes, Iterator[list[bytes]]], _T
     """Read a CSV file through ``fast`` when it can, else through ``slow(path)``.
 
     A regular file goes to ``fast(first, batches)``: its first line, then its
-    other lines in batches of about ``_CSV_BATCH_BYTES``, as bytes. When
-    ``fast`` gives up (a ValueError or LookupError), finds an InputError or
-    the file cannot be read, ``slow`` reads it from the start and gives every
-    error text and row number. A pipe goes straight to ``slow``, as it cannot
-    be read twice.
+    other lines in batches of about ``_CSV_BATCH_BYTES``, as bytes. ``fast``
+    takes a file whole or not at all: when it gives up (a ValueError or
+    LookupError) on any line, or the file cannot be read, ``slow`` reads it
+    from the start and gives every error text and row number. A pipe goes
+    straight to ``slow``, as it cannot be read twice.
     """
     path = Path(path)
     if path.is_file():
         try:
             with path.open("rb") as fh:
                 return fast(fh.readline(), iter(lambda: fh.readlines(_CSV_BATCH_BYTES), []))
-        except (InputError, OSError, ValueError, LookupError):
+        except (OSError, ValueError, LookupError):
             pass
     return slow(path)
 
@@ -511,11 +511,13 @@ def read_paired(path: str | Path) -> PairedPredictions:
 
 
 def _paired_columns(first: bytes, batches: Iterator[list[bytes]]) -> PairedPredictions:
-    """The fast path of ``read_paired``: a file whose header and lines all pass
-    ``_canonical_cells`` splits at its commas into exactly the rows and cells
-    ``csv_rows`` yields, except for rows whose cells are all whitespace, which
-    ``csv_rows`` skips. A batch with such a row, or with a cell that reads
-    right only once stripped (a label `` 1``, say), is read row by row.
+    """The fast path of ``read_paired``, all or nothing: the columns of a file
+    of canonical rows, else a ValueError or KeyError.
+
+    A file whose header and lines all pass ``_canonical_cells`` splits at its
+    commas into the rows ``csv_rows`` yields. A row is canonical when its id
+    is not blank (so a whitespace-only row is not), ``float`` reads each score
+    into [0, 1] and its unstripped label cell is in ``_LABEL_CODES``.
     """
     header = [cell.strip() for cell in _canonical_cells([first], first.count(b","))]
     if header not in _PAIRED_HEADERS:  # a byte-order mark or an empty line fails here too
@@ -523,25 +525,17 @@ def _paired_columns(first: bytes, batches: Iterator[list[bytes]]) -> PairedPredi
     width = len(header)
     # grown in place and wrapped without a copy: no batch arrays left behind in the heap
     pred_a, pred_b, labels = array("d"), array("d"), array("b")
-    row_no = 2
     for lines in batches:
         cells = _canonical_cells(lines, width - 1)
-        ids, a, b, *label = columns = [cells[j::width] for j in range(width)]
-        try:
-            codes = array("b", map(_LABEL_CODES.__getitem__, label[0]) if label else repeat(-1, len(ids)))
-            if not all(map(str.strip, ids)):
-                raise ValueError("an empty entity_id")
-            scores = [np.fromiter(map(float, column), dtype=np.float64, count=len(column)) for column in (a, b)]
-            if not all(((s >= 0.0) & (s <= 1.0)).all() for s in scores):  # NaN fails too
+        ids, a, b, *label = [cells[j::width] for j in range(width)]
+        if not all(map(str.strip, ids)):
+            raise ValueError("a blank entity_id")
+        labels.extend(map(_LABEL_CODES.__getitem__, label[0]) if label else repeat(-1, len(ids)))
+        for column, scores in ((a, pred_a), (b, pred_b)):
+            values = np.fromiter(map(float, column), dtype=np.float64, count=len(column))
+            if not ((values >= 0.0) & (values <= 1.0)).all():  # NaN fails too
                 raise ValueError("a score outside [0, 1]")
-        except (KeyError, ValueError):  # an odd cell, a whitespace-only row or an error: the csv_rows loop's checks
-            rows = ((n, row) for n, row in enumerate(zip(*columns), row_no) if any(map(str.strip, row)))
-            _append_paired_rows(rows, bool(label), pred_a, pred_b, labels)
-        else:
-            pred_a.frombytes(scores[0].tobytes())
-            pred_b.frombytes(scores[1].tobytes())
-            labels.extend(codes)
-        row_no += len(ids)
+            scores.frombytes(values.tobytes())
     return PairedPredictions(np.frombuffer(pred_a), np.frombuffer(pred_b), np.frombuffer(labels, dtype=np.int8))
 
 
@@ -553,19 +547,8 @@ def _parse_paired_csv(path: Path) -> PairedPredictions:
         raise InputError(
             f"{path}: header must be entity_id,pred_a,pred_b[,label], got {','.join(header)}"
         )
-    pred_a = array("d")
-    pred_b = array("d")
-    labels = array("b")
-    _append_paired_rows(rows, len(header) == 4, pred_a, pred_b, labels)
-    return PairedPredictions(
-        np.array(pred_a, dtype=np.float64),
-        np.array(pred_b, dtype=np.float64),
-        np.array(labels, dtype=np.int8),
-    )
-
-
-def _append_paired_rows(rows, has_label: bool, pred_a: array, pred_b: array, labels: array) -> None:
-    """Check each ``(row_no, cells)`` of a paired CSV and append its scores and label (−1 when empty)."""
+    has_label = len(header) == 4
+    pred_a, pred_b, labels = array("d"), array("d"), array("b")
     for row_no, row in rows:
         if not row[0].strip():
             raise InputError(f"row {row_no}: empty entity_id")
@@ -575,6 +558,7 @@ def _append_paired_rows(rows, has_label: bool, pred_a: array, pred_b: array, lab
         if cell not in _LABEL_CODES:
             raise InputError(f"row {row_no}: label must be 0 or 1, got {cell!r}")
         labels.append(_LABEL_CODES[cell])
+    return PairedPredictions(np.frombuffer(pred_a), np.frombuffer(pred_b), np.frombuffer(labels, dtype=np.int8))
 
 
 def read_tabular(path: str | Path, target_column: str, *, impute: bool = False) -> TabularDataset:

@@ -64,41 +64,25 @@ class WindowResult:
     partial: bool = False
 
 
-def check_drift(
-    current: Rdc,
-    reference: Rdc,
-    config: MonitorConfig,
-    *,
-    model_id: str = "",
-    window_index: int = 0,
-    current_diagnosis: RdcDiagnosis | None = None,
-    reference_diagnosis: RdcDiagnosis | None = None,
-) -> list[AlertEvent]:
-    """Compare a window against its reference; zero to three alerts.
+def check_drift(window: WindowResult, reference: tuple[Rdc, RdcDiagnosis], config: MonitorConfig) -> list[AlertEvent]:
+    """Compare a window against its reference chart and diagnosis; zero to three alerts.
 
     One alert per kind at most, emitted in a fixed order: pattern change
     (the diagnoses differ), drift (total variation strictly above the
     threshold), pathology (the current pattern is anything but healthy
     bimodal).
     """
-    distance = rdc_distance(current, reference)
-    if current_diagnosis is None:
-        current_diagnosis = diagnose(current, config.diagnosis)
-    if reference_diagnosis is None:
-        reference_diagnosis = diagnose(reference, config.diagnosis)
+    ref_rdc, ref_diagnosis = reference
+    current, prior = window.diagnosis.pattern, ref_diagnosis.pattern
+    distance = rdc_distance(window.rdc, ref_rdc)
     found: list[tuple[AlertKind, dict]] = []
-    if current_diagnosis.pattern != reference_diagnosis.pattern:
-        found.append(
-            (
-                AlertKind.PATTERN_CHANGE,
-                {"prior": reference_diagnosis.pattern.value, "current": current_diagnosis.pattern.value},
-            )
-        )
+    if current != prior:
+        found.append((AlertKind.PATTERN_CHANGE, {"prior": prior.value, "current": current.value}))
     if distance > config.tv_threshold:
         found.append((AlertKind.DRIFT, {"distance": distance, "threshold": config.tv_threshold}))
-    if current_diagnosis.pattern is not RdcPattern.HEALTHY_BIMODAL:
-        found.append((AlertKind.PATHOLOGY, {"pattern": current_diagnosis.pattern.value}))
-    return [AlertEvent(model_id, window_index, kind, detail) for kind, detail in found]
+    if current is not RdcPattern.HEALTHY_BIMODAL:
+        found.append((AlertKind.PATHOLOGY, {"pattern": current.value}))
+    return [AlertEvent(window.model_id, window.window_index, kind, detail) for kind, detail in found]
 
 
 class WindowedMonitor:
@@ -257,17 +241,8 @@ def watch(
     def handle(result: WindowResult) -> None:
         summary.windows += 1
         summary.partial_windows += result.partial
-        ref_rdc, ref_diagnosis = references.setdefault(result.model_id, (result.rdc, result.diagnosis))
-        alerts = check_drift(
-            result.rdc,
-            ref_rdc,
-            config,
-            model_id=result.model_id,
-            window_index=result.window_index,
-            current_diagnosis=result.diagnosis,
-            reference_diagnosis=ref_diagnosis,
-        )
-        for alert in alerts:
+        reference_pair = references.setdefault(result.model_id, (result.rdc, result.diagnosis))
+        for alert in check_drift(result, reference_pair, config):
             summary.alerts[alert.kind.value] = summary.alerts.get(alert.kind.value, 0) + 1
             summary.alert_count += 1
             on_alert(alert)

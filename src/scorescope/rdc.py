@@ -381,9 +381,9 @@ def group_by(columns: ScoreColumns, field: str) -> dict[str, np.ndarray]:
     """
     coded = {"model_id": (columns.model, columns.model_ids), "class_label": (columns.class_code, columns.class_ids)}
     codes, keys = coded[field]
-    missing = np.flatnonzero(codes < 0)
-    if missing.size:
-        raise PreconditionError(f"record {missing[0]} has no {field.replace('_', ' ')}")
+    missing = int((codes < 0).sum())
+    if missing:
+        raise PreconditionError(f"{missing} of {len(codes)} records have no {field.replace('_', ' ')}")
     order = np.argsort(codes, kind="stable")
     bounds = np.searchsorted(codes[order], np.arange(len(keys) + 1)).tolist()
     return {key: order[lo:hi] for key, lo, hi in zip(keys, bounds, bounds[1:]) if hi > lo}

@@ -9,7 +9,7 @@ import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, dataclass, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 from xml.sax.saxutils import escape
@@ -26,7 +26,7 @@ from scorescope.charts import _text
 from scorescope.cli import _emit, _emit_alert, main
 from scorescope.construction import MAX_PROBE_CELLS, BiasSeverity
 from scorescope.errors import InputError
-from scorescope.ingest import read_score_log, write_score_log
+from scorescope.ingest import ScoreRecord, read_score_log, write_score_log
 from scorescope.monitor import AlertEvent, AlertKind
 from scorescope.rdc import RdcPattern, build_rdc
 
@@ -208,6 +208,16 @@ class TestRdcCommand:
         assert classes["small"] == {"n": 50, "skipped": "need at least 100 samples, got 50"}
         assert classes["big"]["n"] == 550 and classes["big"]["pattern"] == "HEALTHY_BIMODAL"
         assert "m1/small" not in results.get("unhealthy", [])
+
+    def test_per_class_names_the_model_whose_records_lack_a_class(self, tmp_path, capsys):
+        scores = bimodal_scores(400, 3)
+        records = [ScoreRecord(f"m{i % 2}", i, float(s), class_label="a") for i, s in enumerate(scores)]
+        records[301] = replace(records[301], class_label=None)  # line 302, the 151st record of m1
+        path = tmp_path / "classes.jsonl"
+        write_score_log(records, path)
+        code, out, err = run(["rdc", "--input", str(path), "--per-class"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: model 'm1': 1 of 200 records have no class label\n"
 
     def test_config_file_overrides_thresholds(self, tmp_path, capsys):
         path = write_log(tmp_path / "small.jsonl", list(np.random.default_rng(0).beta(5, 5, 60)))

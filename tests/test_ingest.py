@@ -1,6 +1,7 @@
 """Parsing, validation and round-trip behavior of the input readers."""
 
 import csv
+import io
 import json
 import os
 import re
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scorescope import ingest
+from scorescope import blocked, ingest
 from scorescope.blocked import read_blocked_csv
 from scorescope.errors import InputError
 from scorescope.ingest import (
@@ -33,6 +34,9 @@ from scorescope.ingest import (
     read_tabular,
     write_score_log,
 )
+from test_blocked import _CANONICAL_ROWS as _BLOCKED_ROWS
+from test_blocked import _HEADERS as _BLOCKED_HEADERS
+from test_blocked import _ODD_ROW_GROUPS
 
 
 def write_lines(path, lines):
@@ -761,12 +765,54 @@ class TestColumnPathIsTaken:
         with mock.patch.object(ingest, "csv_rows", side_effect=AssertionError("csv_rows used")):
             assert len(read_paired(write_lines(tmp_path / "p.csv", ["entity_id,pred_a,pred_b"]))) == 0
 
-    def test_odd_cells_and_a_whitespace_row_are_read_in_their_batch(self, tmp_path):
-        lines = ["entity_id,pred_a,pred_b,label"] + [f"e{i},0.25,0.5,{i % 2}" for i in range(3000)]
-        lines[-1] = "e2999,0.25, 0.75 , 1"  # in the last batch, as a late odd cell is the costliest to restart on
-        lines.insert(1500, " , , , ")
-        path = write_lines(tmp_path / "pairs.csv", lines)
-        with mock.patch.object(ingest, "csv_rows", side_effect=AssertionError("csv_rows used")):
-            pairs = read_paired(path)
-        assert len(pairs) == 3000 and pairs.pred_b[-1] == 0.75 and pairs.labels.tolist() == [0, 1] * 1500
-        assert pairs == ingest._parse_paired_csv(path)
+
+def test_a_file_with_odd_cells_and_a_whitespace_row_is_read_whole_through_csv_rows(tmp_path):
+    lines = ["entity_id,pred_a,pred_b,label"] + [f"e{i},0.25,0.5,{i % 2}" for i in range(3000)]
+    lines[-1] = "e2999,0.25, 0.75 , 1"  # in the last batch: the column path gives up late, and the file is read again
+    lines.insert(1500, " , , , ")
+    path = write_lines(tmp_path / "pairs.csv", lines)
+    with mock.patch.object(ingest, "csv_rows", wraps=ingest.csv_rows) as rows:
+        pairs = read_paired(path)
+    rows.assert_called_once_with(path, "paired CSV")
+    assert len(pairs) == 3000 and pairs.pred_b[-1] == 0.75 and pairs.labels.tolist() == [0, 1] * 1500
+    assert pairs == ingest._parse_paired_csv(path)
+
+
+def _in_batches(data, lines: list[bytes]) -> list[list[bytes]]:
+    """``lines`` cut into consecutive batches of drawn sizes."""
+    batches = []
+    while lines:
+        size = data.draw(st.integers(1, len(lines)))
+        batches.append(lines[:size])
+        lines = lines[size:]
+    return batches
+
+
+_FAST_PATH_INPUTS = st.one_of(
+    st.tuples(
+        st.just(ingest._paired_columns),
+        _mostly(st.sampled_from([_PAIRED_HEADER, b"entity_id,pred_a,pred_b"]), st.sampled_from(_ODD_PAIRED_HEADERS), 5),
+        st.lists(st.one_of(_PAIRED_ROWS, _PAIRED_ROWS, st.sampled_from(_ODD_PAIRED_LINES)), max_size=20),
+    ),
+    st.tuples(
+        st.just(blocked._canonical_outcomes),
+        _BLOCKED_HEADERS,
+        st.lists(st.one_of(_BLOCKED_ROWS, _BLOCKED_ROWS, *map(st.sampled_from, _ODD_ROW_GROUPS)), max_size=20),
+    ),
+)
+
+
+@given(st.data(), _FAST_PATH_INPUTS, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_a_csv_fast_path_returns_or_gives_up(data, inputs, final_newline):
+    """A fast path reads a file whole or gives up with an exception ``read_csv`` catches, never a row error."""
+    fast, header, rows = inputs
+    if fast is ingest._paired_columns and header.count(b",") == 2:
+        rows = [_without_label(row) for row in rows]
+    text = b"".join(line + b"\n" for line in [header, *rows])
+    file = io.BytesIO(text if final_newline else text[:-1])
+    first = file.readline()  # as read_csv reads the file
+    try:
+        fast(first, iter(_in_batches(data, file.readlines())))
+    except (ValueError, LookupError):
+        pass

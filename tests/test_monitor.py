@@ -15,6 +15,7 @@ from scorescope.monitor import (
     MonitorConfig,
     OverrideRule,
     WindowedMonitor,
+    WindowResult,
     apply_overrides,
     check_drift,
     watch,
@@ -103,12 +104,14 @@ class TestWindowing:
 class TestCheckDrift:
     def test_identical_charts_no_alerts(self):
         rdc = build_rdc(bimodal_scores(5000, 0))
-        assert check_drift(rdc, rdc, MonitorConfig()) == []
+        diagnosis = diagnose(rdc)
+        assert check_drift(WindowResult("m1", 0, rdc, diagnosis), (rdc, diagnosis), MonitorConfig()) == []
 
     def test_pathological_shift_raises_all_three(self):
         reference = build_rdc(bimodal_scores(10_000, 1))
         current = build_rdc(np.full(1000, 0.5))
-        alerts = check_drift(current, reference, MonitorConfig(), model_id="m1", window_index=4)
+        window = WindowResult("m1", 4, current, diagnose(current))
+        alerts = check_drift(window, (reference, diagnose(reference)), MonitorConfig())
         kinds = [a.kind for a in alerts]
         assert kinds == [AlertKind.PATTERN_CHANGE, AlertKind.DRIFT, AlertKind.PATHOLOGY]
         # analytic oracle: the point mass shares one bin with reference mass b50,
@@ -124,17 +127,21 @@ class TestCheckDrift:
         current = Rdc.from_counts([75, 25])
         config = MonitorConfig(tv_threshold=0.25)
         assert rdc_distance(current, reference) == 0.25
-        kinds = [a.kind for a in check_drift(current, reference, config,
-                                             current_diagnosis=_dummy_diag(), reference_diagnosis=_dummy_diag())]
+        healthy = _dummy_diag()  # two-bin charts are too coarse to diagnose
+        kinds = [a.kind for a in check_drift(WindowResult("m1", 0, current, healthy), (reference, healthy), config)]
         assert AlertKind.DRIFT not in kinds
         just_over = Rdc.from_counts([74, 26])
-        kinds = [a.kind for a in check_drift(just_over, reference, config,
-                                             current_diagnosis=_dummy_diag(), reference_diagnosis=_dummy_diag())]
+        kinds = [a.kind for a in check_drift(WindowResult("m1", 0, just_over, healthy), (reference, healthy), config)]
         assert AlertKind.DRIFT in kinds
 
     def test_incompatible_binning(self):
+        healthy = _dummy_diag()  # charts of two and three records are too small to diagnose
         with pytest.raises(PreconditionError, match="binning"):
-            check_drift(Rdc.from_counts([1, 1]), Rdc.from_counts([1, 1, 1]), MonitorConfig())
+            check_drift(
+                WindowResult("m1", 0, Rdc.from_counts([1, 1]), healthy),
+                (Rdc.from_counts([1, 1, 1]), healthy),
+                MonitorConfig(),
+            )
 
 
 class TestWatch:
@@ -167,6 +174,40 @@ class TestWatch:
             (1, AlertKind.PATTERN_CHANGE),
             (1, AlertKind.DRIFT),
         ]
+
+    def test_alerts_are_check_drift_over_the_windowing(self, tmp_path):
+        config = MonitorConfig(window_size=500)
+        streams = {
+            "a": np.concatenate([bimodal_scores(1000, 4), spike_scores(500, 5), bimodal_scores(300, 6)]),
+            "b": np.concatenate([bimodal_scores(1200, 7), central_scores(500, 8)]),
+            "c": spike_scores(1100, 9, spike_value=1.0),
+        }
+        # interleaved at random, each model's records in order
+        order = np.random.default_rng(10).permutation(np.repeat(list(streams), [len(v) for v in streams.values()]))
+        position = dict.fromkeys(streams, 0)
+        records = []
+        for model_id in order.tolist():
+            records.append(ScoreRecord(model_id, len(records), float(streams[model_id][position[model_id]])))
+            position[model_id] += 1
+        path, reference = tmp_path / "log.jsonl", tmp_path / "ref.jsonl"
+        write_score_log(records, path)
+        ref_scores = central_scores(800, 11)
+        write_score_log(score_records(ref_scores, model_id="b"), reference)
+
+        alerts = []
+        summary = watch(path, config, alerts.append, reference=reference)
+
+        results, dropped = windowed_rdcs(records, config)
+        ref_rdc = build_rdc(ref_scores, config.bins)
+        references = {"b": (ref_rdc, diagnose(ref_rdc, config.diagnosis))}
+        expected = []
+        for result in results:  # a model without a reference chart is compared with its first window
+            against = references.setdefault(result.model_id, (result.rdc, result.diagnosis))
+            expected += check_drift(result, against, config)
+        assert alerts == expected
+        assert {a.model_id for a in alerts} == set(streams)
+        assert {a.kind for a in alerts} == set(AlertKind)
+        assert (summary.windows, summary.alert_count, summary.dropped) == (len(results), len(expected), dropped)
 
 
 def _dummy_diag():
