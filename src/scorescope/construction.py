@@ -212,7 +212,11 @@ def _fold_indices(n: int, folds: int, seed) -> list[np.ndarray]:
 
 
 def _out_of_fold_aucs(
-    x: np.ndarray, labels: np.ndarray, folds: list[np.ndarray], logistic: LogisticConfig
+    x: np.ndarray,
+    labels: np.ndarray,
+    folds: list[np.ndarray],
+    logistic: LogisticConfig,
+    floor: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fit every label column on each fold's training rows and score its test rows.
 
@@ -220,18 +224,35 @@ def _out_of_fold_aucs(
     scoring run in the dtype of ``labels``. Returns the per-column AUCs of
     the test decision values and the both-classes-present mask (see
     ``_columnwise_auc``), one row per fold.
+
+    With a ``floor``, a column is fitted no further once its mean AUC cannot
+    reach the floor even if every fold left scores 1: after each fold, with
+    S the sum of its defined fold AUCs, C their count and r folds left, it
+    drops out when (S + r) / (C + r) < floor - 1e-9; the margin keeps a
+    column whose bound ties the floor but for rounding, since a tie can
+    still reach it. Its later folds come back as not defined, so its mean
+    over the defined folds is below the floor, as its mean over every fold
+    would have been.
     """
-    aucs, defined = [], []
-    for test_idx in folds:
+    aucs = np.full((len(folds), labels.shape[1]), 0.5)
+    defined = np.zeros(aucs.shape, dtype=bool)
+    cols = np.arange(labels.shape[1])  # the columns still fitted
+    for k, test_idx in enumerate(folds):
         train = np.ones(len(x), dtype=bool)
         train[test_idx] = False
         z, means, stds, kept = _standardize(x[train])
-        w = _fit_logistic(_with_ones(z, labels.dtype), labels[train], logistic)
+        w = _fit_logistic(_with_ones(z, labels.dtype), labels[train][:, cols], logistic)
         z_test = (x[np.ix_(test_idx, np.flatnonzero(kept))] - means) / stds
-        fold_auc, both = _columnwise_auc(_with_ones(z_test, labels.dtype) @ w, labels[test_idx])
-        aucs.append(fold_auc)
-        defined.append(both)
-    return np.array(aucs), np.array(defined)
+        scores = _with_ones(z_test, labels.dtype) @ w
+        aucs[k, cols], defined[k, cols] = _columnwise_auc(scores, labels[test_idx][:, cols])
+        left = len(folds) - 1 - k
+        if floor is not None and left:
+            done = defined[:, cols]
+            reach = (np.where(done, aucs[:, cols], 0.0).sum(axis=0) + left) / (done.sum(axis=0) + left)
+            cols = cols[reach >= floor - 1e-9]
+            if not cols.size:
+                break
+    return aucs, defined
 
 
 @dataclass(frozen=True)
@@ -386,13 +407,16 @@ def bias_severity(
     for j in range(1, permutations + 1):
         labels[:, j] = y[rng.permutation(n)]
 
-    aucs, defined = _out_of_fold_aucs(x, labels, fold_idx, logistic)
-    # a permuted column with no valid fold cannot be scored; drop it from the null
-    valid = defined.any(axis=0)
-    if not valid[0]:
+    aucs, defined = _out_of_fold_aucs(x, labels[:, :1], fold_idx, logistic)
+    if not defined.any():
         raise PreconditionError("no fold had both availability classes; cannot estimate the probe AUC")
-    scored = np.where(defined, aucs, 0.0).sum(axis=0)[valid] / defined.sum(axis=0)[valid]
-    observed, null = float(scored[0]), scored[1:]
+    observed = float(aucs[defined].sum() / defined.sum())
+    # a shuffled column that can no longer reach the observed AUC cannot count in b, so its
+    # later folds are skipped; it keeps a defined fold, so it still counts in m
+    null_aucs, null_defined = _out_of_fold_aucs(x, labels[:, 1:], fold_idx, logistic, floor=observed)
+    # a permuted column with no valid fold cannot be scored; drop it from the null
+    valid = null_defined.any(axis=0)
+    null = np.where(null_defined, null_aucs, 0.0).sum(axis=0)[valid] / null_defined.sum(axis=0)[valid]
     p_value = (int((null >= observed).sum()) + 1) / (null.size + 1)
     if observed >= cutoffs.severe_auc and p_value <= cutoffs.severe_p:
         severity = BiasSeverity.SEVERE

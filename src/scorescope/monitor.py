@@ -236,7 +236,7 @@ def watch(
                 references[model_id] = (rdc, diagnosis)
 
     monitor = WindowedMonitor(config)
-    malformed: list[tuple[int, str]] = []
+    malformed: list[tuple[int, str]] = []  # one batch's bad lines; a tail of any length holds no more
 
     def handle(result: WindowResult) -> None:
         summary.windows += 1
@@ -249,6 +249,8 @@ def watch(
 
     lines = read_log_lines(path, follow=follow, poll_interval=poll_interval)
     for batch in parse_score_lines(lines, malformed, out_of_range="skip"):
+        summary.malformed_lines += len(malformed)
+        malformed.clear()
         if rules:
             batch, overridden = apply_overrides(batch, rules)
             summary.overridden += overridden
@@ -259,5 +261,4 @@ def watch(
     for result in monitor.finish():
         handle(result)
     summary.dropped = monitor.dropped
-    summary.malformed_lines = len(malformed)
     return summary

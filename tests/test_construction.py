@@ -1,5 +1,7 @@
 """Class balance, the internal learners, learnability gap, and the bias probe."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -12,6 +14,7 @@ from generators import (
     null_dataset,
     separable_dataset,
 )
+from scorescope import construction
 from scorescope.construction import (
     DEFAULT_LOGISTIC,
     MAX_PROBE_CELLS,
@@ -19,6 +22,8 @@ from scorescope.construction import (
     LogisticConfig,
     _columnwise_auc,
     _fit_logistic,
+    _fold_indices,
+    _out_of_fold_aucs,
     _standardize,
     _with_ones,
     auc,
@@ -450,3 +455,77 @@ def test_bias_and_learnability_share_folds(make, seed):
     bias = bias_severity(ds.rows, ds.target, permutations=20, seed=seed)
     assert not learn.skipped_folds and len(bias.fold_aucs) == len(learn.fold_aucs) == 5
     assert bias.fold_aucs == pytest.approx(learn.fold_aucs, abs=1e-3)  # float32 vs float64 fits
+
+
+def _recorded_probe(x, has, permutations, seed):
+    """``bias_severity``'s report, the label columns it fitted and what each of its fold loops returned."""
+    fitted, returned = [], []
+
+    def fit(xb, ys, logistic):
+        fitted.append(ys.shape[1])
+        return _fit_logistic(xb, ys, logistic)
+
+    def fold_loop(*args, **kwargs):
+        returned.append(_out_of_fold_aucs(*args, **kwargs))
+        return returned[-1]
+
+    with mock.patch.object(construction, "_fit_logistic", fit):
+        with mock.patch.object(construction, "_out_of_fold_aucs", fold_loop):
+            report = bias_severity(x, has, permutations=permutations, seed=seed)
+    return report, fitted, returned
+
+
+@given(
+    st.integers(60, 300),
+    st.integers(1, 3),
+    st.integers(10, 40),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=30, deadline=None)
+def test_a_pruned_null_gives_the_full_fit_verdict(n, d, permutations, signal, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    # each row follows the median split of the first feature with chance ``signal``, else a coin
+    has = np.where(rng.random(n) < signal, x[:, 0] > np.median(x[:, 0]), rng.random(n) < 0.5).astype(int)
+    assume(0 < has.sum() < n)
+    report, _, (_, (null_aucs, null_defined)) = _recorded_probe(x, has, permutations, seed)
+
+    # every column on every fold in one batch, with the probe's folds and shuffles
+    rng = np.random.default_rng(seed)
+    folds = _fold_indices(n, 5, rng)
+    labels = np.column_stack([has] + [has[rng.permutation(n)] for _ in range(permutations)]).astype(np.float32)
+    aucs, defined = _out_of_fold_aucs(x, labels, folds, DEFAULT_LOGISTIC)
+    valid = defined[:, 1:].any(axis=0)
+    assert np.array_equal(null_defined.any(axis=0), valid)  # the same m scorable shuffles
+    null = (np.where(defined, aucs, 0.0).sum(axis=0) / np.maximum(defined.sum(axis=0), 1))[1:][valid]
+    p_value = (int((null >= report.auc).sum()) + 1) / (valid.sum() + 1)
+    assert report.permutation_p == p_value
+    observed = aucs[defined[:, 0], 0]
+    pairs = [labels[k, 0].sum() * (len(k) - labels[k, 0].sum()) for k, both in zip(folds, defined[:, 0]) if both]
+    assert len(report.fold_aucs) == len(observed)  # the observed column's own batch moves it by a swapped pair at most
+    assert all(abs(a - b) <= 1 / pair for a, b, pair in zip(report.fold_aucs, observed, pairs))
+    cutoffs = construction.DEFAULT_BIAS_CUTOFFS
+    if observed.mean() >= cutoffs.severe_auc and p_value <= cutoffs.severe_p:
+        assert report.severity is BiasSeverity.SEVERE
+    elif observed.mean() >= cutoffs.mild_auc and p_value <= cutoffs.mild_p:
+        assert report.severity is BiasSeverity.MILD
+    else:
+        assert report.severity is BiasSeverity.NONE
+    # a shuffle that stops early scores below the observed AUC on the folds it kept
+    stopped = ~null_defined[-1] & defined[-1, 1:]
+    kept = np.where(null_defined, null_aucs, 0.0).sum(axis=0) / np.maximum(null_defined.sum(axis=0), 1)
+    assert (kept[stopped] < report.auc).all()
+
+
+def test_a_median_split_fits_its_shuffles_on_one_fold():
+    report, fitted, _ = _recorded_probe(*median_split_availability(400, seed=0), permutations=40, seed=0)
+    assert report.permutation_p == 1 / 41
+    null_fits = sum(fitted) - report.folds  # the observed column is fitted once a fold
+    assert null_fits < report.folds * report.permutations / 2
+
+
+def test_an_observed_auc_below_chance_stops_no_shuffle():
+    report, fitted, _ = _recorded_probe(*independent_availability(300, seed=1), permutations=40, seed=1)
+    assert report.auc < 0.5
+    assert sum(fitted) - report.folds == report.folds * report.permutations

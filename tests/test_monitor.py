@@ -1,6 +1,7 @@
 """Windowing, drift alerts, and output overrides."""
 
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import bimodal_scores, central_scores, score_records, spike_scores
+from scorescope import ingest
 from scorescope.errors import PreconditionError
 from scorescope.ingest import ScoreColumns, ScoreRecord, write_score_log
 from scorescope.monitor import (
@@ -208,6 +210,21 @@ class TestWatch:
         assert {a.model_id for a in alerts} == set(streams)
         assert {a.kind for a in alerts} == set(AlertKind)
         assert (summary.windows, summary.alert_count, summary.dropped) == (len(results), len(expected), dropped)
+
+    def test_malformed_lines_are_counted_across_batches(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        write_score_log(score_records(bimodal_scores(1500, 12)), path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        bad = [b"not json\n", b'{"model_id":"m1","ts":0}\n', b"\xff\n", b'{"model_id":"m1","ts":0,"score":1.5}\n']
+        for i, line in enumerate(bad * 10):  # 40 bad lines spread over the log
+            lines.insert(37 * i + 5, line)
+        path.write_bytes(b"".join(lines))
+        summaries = []
+        for batch_bytes in (1 << 20, 64):  # the whole log in one batch, and about a line a batch
+            with mock.patch.object(ingest, "_BATCH_BYTES", batch_bytes):
+                summaries.append(watch(path, MonitorConfig(window_size=500), lambda alert: None))
+        assert summaries[0].malformed_lines == summaries[1].malformed_lines == 40
+        assert summaries[0] == summaries[1]
 
 
 def _dummy_diag():
