@@ -23,8 +23,9 @@ from .ingest import TabularDataset
 
 @dataclass(frozen=True)
 class LogisticConfig:
-    epochs: int = 500
+    epochs: int = 500  # the most a fit runs
     learning_rate: float = 0.1
+    tol: float = 1e-4  # a column stops once its max |gradient| / rows is below this; 0 runs every epoch
 
     def __post_init__(self) -> None:
         if isinstance(self.epochs, bool) or not isinstance(self.epochs, numbers.Integral) or self.epochs < 1:
@@ -32,6 +33,9 @@ class LogisticConfig:
         rate = self.learning_rate
         if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not 0.0 < rate < math.inf:
             raise PreconditionError(f"logistic learning_rate must be a finite number > 0, got {rate!r}")
+        tol = self.tol
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 <= tol < math.inf:
+            raise PreconditionError(f"logistic tol must be a finite number >= 0, got {tol!r}")
 
 
 DEFAULT_LOGISTIC = LogisticConfig()
@@ -140,30 +144,48 @@ def _with_ones(z: np.ndarray, dtype) -> np.ndarray:
     return np.hstack([z, np.ones((z.shape[0], 1))]).astype(dtype)
 
 
-def _fit_logistic(xb: np.ndarray, ys: np.ndarray, logistic: LogisticConfig) -> np.ndarray:
+def _fit_logistic(xb: np.ndarray, ys: np.ndarray, logistic: LogisticConfig) -> tuple[np.ndarray, np.ndarray]:
     """Full-batch gradient descent on log loss, one model per label column.
 
     ``xb`` is a design matrix from ``_with_ones`` (the last weight is the
     bias); ``ys`` holds one {0,1} label vector per column. Weights start at
     zero and training runs in the dtype of the inputs with preallocated
     buffers: float32 for the bias probe's hundreds of permutation refits,
-    float64 for a single model. Returns the weight matrix, one column per
-    label column.
+    float64 for a single model. A column stops before the first update at
+    which its gradient's largest entry is below ``tol`` times the row count,
+    and leaves the batch; the others run on, to ``epochs`` at most. With
+    ``tol`` 0 no column stops early. Returns the weight matrix, one column
+    per label column, and the number of updates each column ran.
     """
+    n, c = ys.shape
     # with sigmoid(t) = 1/2 + tanh(t/2)/2 the gradient xb.T @ (sigmoid(xb @ w) - ys)
     # is half.T @ tanh(half @ w) + xb.T @ (1/2 - ys), whose second term is fixed
-    w = np.zeros((xb.shape[1], ys.shape[1]), dtype=xb.dtype)
-    z = np.empty((xb.shape[0], ys.shape[1]), dtype=xb.dtype)
+    weights = np.empty((xb.shape[1], c), dtype=xb.dtype)
+    ran = np.full(c, logistic.epochs)
+    w = np.zeros_like(weights)
+    buf = np.empty(n * c, dtype=xb.dtype)  # the live columns use its first n * k elements
+    z = buf.reshape(n, c)
     half = xb * 0.5  # exact for normal floats: halving only lowers the exponent
     const = xb.T @ np.subtract(0.5, ys, out=z)  # z is free until the loop
-    step = xb.dtype.type(logistic.learning_rate / xb.shape[0])
-    for _ in range(logistic.epochs):
+    step = xb.dtype.type(logistic.learning_rate / n)
+    limit = logistic.tol * n
+    live = np.arange(c)  # the batch's columns, as columns of ``ys``
+    for epoch in range(logistic.epochs):
         np.matmul(half, w, out=z)
         np.tanh(z, out=z)
         g = half.T @ z
         g += const
+        flat = np.abs(g).max(axis=0) < limit
+        if flat.any():
+            weights[:, live[flat]] = w[:, flat]
+            ran[live[flat]] = epoch
+            live, w, g, const = live[~flat], w[:, ~flat], g[:, ~flat], const[:, ~flat]
+            if not live.size:
+                break
+            z = buf[: n * live.size].reshape(n, live.size)
         w -= step * g
-    return w
+    weights[:, live] = w
+    return weights, ran
 
 
 def train_stump(dataset: TabularDataset) -> DecisionStump:
@@ -217,13 +239,14 @@ def _out_of_fold_aucs(
     folds: list[np.ndarray],
     logistic: LogisticConfig,
     floor: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fit every label column on each fold's training rows and score its test rows.
 
     Each training split is standardized on its own statistics; fitting and
     scoring run in the dtype of ``labels``. Returns the per-column AUCs of
-    the test decision values and the both-classes-present mask (see
-    ``_columnwise_auc``), one row per fold.
+    the test decision values, the both-classes-present mask (see
+    ``_columnwise_auc``) and the epochs each fit ran (0 where a column was
+    not fitted), one row per fold.
 
     With a ``floor``, a column is fitted no further once its mean AUC cannot
     reach the floor even if every fold left scores 1: after each fold, with
@@ -236,12 +259,13 @@ def _out_of_fold_aucs(
     """
     aucs = np.full((len(folds), labels.shape[1]), 0.5)
     defined = np.zeros(aucs.shape, dtype=bool)
+    epochs = np.zeros(aucs.shape, dtype=int)
     cols = np.arange(labels.shape[1])  # the columns still fitted
     for k, test_idx in enumerate(folds):
         train = np.ones(len(x), dtype=bool)
         train[test_idx] = False
         z, means, stds, kept = _standardize(x[train])
-        w = _fit_logistic(_with_ones(z, labels.dtype), labels[train][:, cols], logistic)
+        w, epochs[k, cols] = _fit_logistic(_with_ones(z, labels.dtype), labels[train][:, cols], logistic)
         z_test = (x[np.ix_(test_idx, np.flatnonzero(kept))] - means) / stds
         scores = _with_ones(z_test, labels.dtype) @ w
         aucs[k, cols], defined[k, cols] = _columnwise_auc(scores, labels[test_idx][:, cols])
@@ -252,7 +276,7 @@ def _out_of_fold_aucs(
             cols = cols[reach >= floor - 1e-9]
             if not cols.size:
                 break
-    return aucs, defined
+    return aucs, defined, epochs
 
 
 @dataclass(frozen=True)
@@ -265,6 +289,7 @@ class LearnabilityReport:
     majority_accuracy: float
     stump_auc: float | None
     fold_aucs: tuple[float, ...]
+    fold_epochs: tuple[int, ...]  # epochs each fold's fit ran; ``epochs`` means it never met ``tol``
     skipped_folds: tuple[dict, ...]
     folds: int
     seed: int
@@ -299,7 +324,8 @@ def learnability_gap(
         stump_aucs.append(auc(stump.predict_proba(x[test_idx]), y_test))
     if not fitted:
         raise PreconditionError("every fold was single-class; cannot estimate learnability")
-    fold_aucs = _out_of_fold_aucs(x, y[:, None].astype(np.float64), fitted, logistic)[0][:, 0].tolist()
+    aucs, _, epochs = _out_of_fold_aucs(x, y[:, None].astype(np.float64), fitted, logistic)
+    fold_aucs = aucs[:, 0].tolist()
     mean_auc = float(np.mean(fold_aucs))
     positive_rate = float(y.mean())
     return LearnabilityReport(
@@ -309,6 +335,7 @@ def learnability_gap(
         majority_accuracy=max(positive_rate, 1.0 - positive_rate),
         stump_auc=float(np.mean(stump_aucs)),
         fold_aucs=tuple(fold_aucs),
+        fold_epochs=tuple(epochs[:, 0].tolist()),
         skipped_folds=tuple(skipped),
         folds=folds,
         seed=seed,
@@ -349,6 +376,7 @@ class BiasReport:
     folds: int
     seed: int
     fold_aucs: tuple[float, ...] = field(default=())
+    fold_epochs: tuple[int, ...] = field(default=())  # the observed column's, fold by fold as ``fold_aucs``
 
 
 # a bound on rows x (permutations + 1), the cells of the probe's label matrix; its buffers peak at
@@ -407,13 +435,13 @@ def bias_severity(
     for j in range(1, permutations + 1):
         labels[:, j] = y[rng.permutation(n)]
 
-    aucs, defined = _out_of_fold_aucs(x, labels[:, :1], fold_idx, logistic)
+    aucs, defined, epochs = _out_of_fold_aucs(x, labels[:, :1], fold_idx, logistic)
     if not defined.any():
         raise PreconditionError("no fold had both availability classes; cannot estimate the probe AUC")
     observed = float(aucs[defined].sum() / defined.sum())
     # a shuffled column that can no longer reach the observed AUC cannot count in b, so its
     # later folds are skipped; it keeps a defined fold, so it still counts in m
-    null_aucs, null_defined = _out_of_fold_aucs(x, labels[:, 1:], fold_idx, logistic, floor=observed)
+    null_aucs, null_defined, _ = _out_of_fold_aucs(x, labels[:, 1:], fold_idx, logistic, floor=observed)
     # a permuted column with no valid fold cannot be scored; drop it from the null
     valid = null_defined.any(axis=0)
     null = np.where(null_defined, null_aucs, 0.0).sum(axis=0)[valid] / null_defined.sum(axis=0)[valid]
@@ -434,5 +462,6 @@ def bias_severity(
         folds=folds,
         seed=seed,
         fold_aucs=tuple(aucs[defined[:, 0], 0].tolist()),
+        fold_epochs=tuple(epochs[defined[:, 0], 0].tolist()),
     )
 

@@ -390,7 +390,16 @@ class TestBiasCommand:
 
     @pytest.mark.parametrize(
         "logistic",
-        [{"epochs": "500"}, {"epochs": 0}, {"epochs": True}, {"learning_rate": -1.0}, {"learning_rate": float("nan")}],
+        [
+            {"epochs": "500"},
+            {"epochs": 0},
+            {"epochs": True},
+            {"learning_rate": -1.0},
+            {"learning_rate": float("nan")},
+            {"tol": -1e-4},
+            {"tol": True},
+            {"tol": "0"},
+        ],
     )
     def test_bad_logistic_config_exits_two(self, tmp_path, capsys, logistic):
         config = tmp_path / "config.json"
@@ -405,7 +414,7 @@ class TestBiasCommand:
         argv = ["bias", "--input", self.make_csv(tmp_path), "--availability-column", "has_label", "--permutations", "5"]
         code, out, _ = run(argv, capsys)
         assert code == 0
-        assert json.loads(out)["decisions"]["logistic"] == {"epochs": 500, "learning_rate": 0.1}
+        assert json.loads(out)["decisions"]["logistic"] == {"epochs": 500, "learning_rate": 0.1, "tol": 0.0001}
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"logistic": {"seed": 3}}), encoding="utf-8")
         code, _, err = run(argv + ["--config", str(config)], capsys)

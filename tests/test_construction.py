@@ -107,7 +107,7 @@ class TestAuc:
 def _fit(ds, logistic=DEFAULT_LOGISTIC):
     """One float64 fit of the engine on ``ds``'s standardized features: the design and its weights, bias last."""
     xb = _with_ones(_standardize(ds.rows)[0], np.float64)
-    return xb, _fit_logistic(xb, ds.target[:, None].astype(np.float64), logistic)[:, 0]
+    return xb, _fit_logistic(xb, ds.target[:, None].astype(np.float64), logistic)[0][:, 0]
 
 
 class TestLogistic:
@@ -156,6 +156,39 @@ def _reference_fit(xb, ys, logistic):
     return w
 
 
+def _fixed_epoch_fit(xb, ys, logistic):
+    """The engine's tanh-form loop as it was before a column could stop early: every column runs every epoch.
+
+    Also returns, for each epoch, the weights and the largest gradient entry per column before its update.
+    """
+    w = np.zeros((xb.shape[1], ys.shape[1]), dtype=xb.dtype)
+    z = np.empty((xb.shape[0], ys.shape[1]), dtype=xb.dtype)
+    half = xb * 0.5
+    const = xb.T @ np.subtract(0.5, ys, out=z)
+    step = xb.dtype.type(logistic.learning_rate / xb.shape[0])
+    path, steepest = [], []
+    for _ in range(logistic.epochs):
+        np.matmul(half, w, out=z)
+        np.tanh(z, out=z)
+        g = half.T @ z
+        g += const
+        path.append(w.copy())
+        steepest.append(np.abs(g).max(axis=0))
+        w -= step * g
+    return w, np.array(path), np.array(steepest)
+
+
+FIXED_EPOCHS = LogisticConfig(tol=0)  # every column runs all 500 epochs, as the references do
+
+
+def _probe_batch(make, n):
+    """The float32 batch of a bias probe on ``make(n)``: a design matrix and the observed flags plus 200 shuffles."""
+    x, has = make(n, seed=0)
+    rng = np.random.default_rng(0)
+    ys = np.column_stack([has] + [rng.permutation(has) for _ in range(200)]).astype(np.float32)
+    return _with_ones(_standardize(x)[0], np.float32), ys
+
+
 class TestEngineAgainstReference:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("make", [separable_dataset, null_dataset])
@@ -163,18 +196,56 @@ class TestEngineAgainstReference:
         ds = make(200, seed=seed)
         xb = _with_ones(_standardize(ds.rows)[0], np.float64)
         ys = ds.target[:, None].astype(np.float64)
-        got = _fit_logistic(xb, ys, DEFAULT_LOGISTIC)
+        got, _ = _fit_logistic(xb, ys, FIXED_EPOCHS)
         assert got.dtype == np.float64
-        assert np.abs(got - _reference_fit(xb, ys, DEFAULT_LOGISTIC)).max() <= 1e-12
+        assert np.abs(got - _reference_fit(xb, ys, FIXED_EPOCHS)).max() <= 1e-12
 
     def test_float32_permuted_label_batch(self):
-        x, has = median_split_availability(400, seed=0)  # the bias probe's batch: observed plus 200 shuffles
-        rng = np.random.default_rng(0)
-        ys = np.column_stack([has] + [rng.permutation(has) for _ in range(200)]).astype(np.float32)
-        xb = _with_ones(_standardize(x)[0], np.float32)
-        got = _fit_logistic(xb, ys, DEFAULT_LOGISTIC)
+        xb, ys = _probe_batch(median_split_availability, 400)
+        got, _ = _fit_logistic(xb, ys, FIXED_EPOCHS)
         assert got.dtype == np.float32 and got.shape == (3, 201)
-        assert np.abs(got - _reference_fit(xb, ys, DEFAULT_LOGISTIC)).max() <= 1e-5
+        assert np.abs(got - _reference_fit(xb, ys, FIXED_EPOCHS)).max() <= 1e-5
+
+
+class TestEarlyStop:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tol_zero_is_the_fixed_epoch_loop_bit_for_bit(self, dtype):
+        if dtype is np.float32:
+            xb, ys = _probe_batch(independent_availability, 600)
+        else:
+            ds = null_dataset(200, seed=0)
+            xb, ys = _with_ones(_standardize(ds.rows)[0], dtype), ds.target[:, None].astype(dtype)
+        got, ran = _fit_logistic(xb, ys, FIXED_EPOCHS)
+        want = _fixed_epoch_fit(xb, ys, FIXED_EPOCHS)[0]
+        assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
+        assert (ran == FIXED_EPOCHS.epochs).all()
+
+    @pytest.mark.parametrize("make, n", [(independent_availability, 600), (median_split_availability, 400)])
+    def test_a_column_stops_once_its_gradient_is_flat(self, make, n):
+        xb, ys = _probe_batch(make, n)
+        got, ran = _fit_logistic(xb, ys, DEFAULT_LOGISTIC)
+        tol, epochs = DEFAULT_LOGISTIC.tol, DEFAULT_LOGISTIC.epochs
+        stopped = ran < epochs
+        assert stopped.any()
+        x64 = xb.astype(np.float64)
+        p = 1 / (1 + np.exp(-(x64 @ got.astype(np.float64))))
+        flat = np.abs(x64.T @ (p - ys)).max(axis=0) / n  # the float64 gradient of the weights returned
+        assert (flat[stopped] < tol * (1 + 1e-3)).all()
+        # against the fixed-epoch loop: a column stops at the first epoch that meets tol, with that epoch's weights
+        _, path, steepest = _fixed_epoch_fit(xb, ys, DEFAULT_LOGISTIC)
+        steepest /= n
+        for j in range(ys.shape[1]):
+            assert (steepest[: ran[j], j] >= tol * (1 - 1e-3)).all()
+            if ran[j] < epochs:
+                assert steepest[ran[j], j] < tol * (1 + 1e-3)
+                assert np.abs(got[:, j] - path[ran[j], :, j]).max() <= 1e-6
+
+    def test_reports_give_the_epochs_of_each_fold(self):
+        report = bias_severity(*median_split_availability(400, seed=0), permutations=20, seed=0)
+        assert report.fold_epochs == (DEFAULT_LOGISTIC.epochs,) * 5  # no MLE: the gradient never flattens
+        learn = learnability_gap(null_dataset(200, seed=0), seed=0)
+        assert len(learn.fold_epochs) == len(learn.fold_aucs) == 5
+        assert all(0 < e < DEFAULT_LOGISTIC.epochs for e in learn.fold_epochs)
 
 
 class TestStump:
@@ -489,13 +560,13 @@ def test_a_pruned_null_gives_the_full_fit_verdict(n, d, permutations, signal, se
     # each row follows the median split of the first feature with chance ``signal``, else a coin
     has = np.where(rng.random(n) < signal, x[:, 0] > np.median(x[:, 0]), rng.random(n) < 0.5).astype(int)
     assume(0 < has.sum() < n)
-    report, _, (_, (null_aucs, null_defined)) = _recorded_probe(x, has, permutations, seed)
+    report, _, (_, (null_aucs, null_defined, _)) = _recorded_probe(x, has, permutations, seed)
 
     # every column on every fold in one batch, with the probe's folds and shuffles
     rng = np.random.default_rng(seed)
     folds = _fold_indices(n, 5, rng)
     labels = np.column_stack([has] + [has[rng.permutation(n)] for _ in range(permutations)]).astype(np.float32)
-    aucs, defined = _out_of_fold_aucs(x, labels, folds, DEFAULT_LOGISTIC)
+    aucs, defined, _ = _out_of_fold_aucs(x, labels, folds, DEFAULT_LOGISTIC)
     valid = defined[:, 1:].any(axis=0)
     assert np.array_equal(null_defined.any(axis=0), valid)  # the same m scorable shuffles
     null = (np.where(defined, aucs, 0.0).sum(axis=0) / np.maximum(defined.sum(axis=0), 1))[1:][valid]
