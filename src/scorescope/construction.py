@@ -25,7 +25,6 @@ from .ingest import TabularDataset
 class LogisticConfig:
     epochs: int = 500  # the most a fit runs
     learning_rate: float = 0.1
-    tol: float = 1e-4  # a column stops once its max |gradient| / rows is below this; 0 runs every epoch
 
     def __post_init__(self) -> None:
         if isinstance(self.epochs, bool) or not isinstance(self.epochs, numbers.Integral) or self.epochs < 1:
@@ -33,12 +32,10 @@ class LogisticConfig:
         rate = self.learning_rate
         if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not 0.0 < rate < math.inf:
             raise PreconditionError(f"logistic learning_rate must be a finite number > 0, got {rate!r}")
-        tol = self.tol
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 <= tol < math.inf:
-            raise PreconditionError(f"logistic tol must be a finite number >= 0, got {tol!r}")
 
 
 DEFAULT_LOGISTIC = LogisticConfig()
+_TOL = 1e-4  # a column stops once its max |gradient| / rows is below this (scikit-learn's default)
 
 
 @dataclass(frozen=True)
@@ -144,7 +141,9 @@ def _with_ones(z: np.ndarray, dtype) -> np.ndarray:
     return np.hstack([z, np.ones((z.shape[0], 1))]).astype(dtype)
 
 
-def _fit_logistic(xb: np.ndarray, ys: np.ndarray, logistic: LogisticConfig) -> tuple[np.ndarray, np.ndarray]:
+def _fit_logistic(
+    xb: np.ndarray, ys: np.ndarray, logistic: LogisticConfig, tol: float = _TOL
+) -> tuple[np.ndarray, np.ndarray]:
     """Full-batch gradient descent on log loss, one model per label column.
 
     ``xb`` is a design matrix from ``_with_ones`` (the last weight is the
@@ -168,7 +167,7 @@ def _fit_logistic(xb: np.ndarray, ys: np.ndarray, logistic: LogisticConfig) -> t
     half = xb * 0.5  # exact for normal floats: halving only lowers the exponent
     const = xb.T @ np.subtract(0.5, ys, out=z)  # z is free until the loop
     step = xb.dtype.type(logistic.learning_rate / n)
-    limit = logistic.tol * n
+    limit = tol * n
     live = np.arange(c)  # the batch's columns, as columns of ``ys``
     for epoch in range(logistic.epochs):
         np.matmul(half, w, out=z)

@@ -178,9 +178,6 @@ def _fixed_epoch_fit(xb, ys, logistic):
     return w, np.array(path), np.array(steepest)
 
 
-FIXED_EPOCHS = LogisticConfig(tol=0)  # every column runs all 500 epochs, as the references do
-
-
 def _probe_batch(make, n):
     """The float32 batch of a bias probe on ``make(n)``: a design matrix and the observed flags plus 200 shuffles."""
     x, has = make(n, seed=0)
@@ -196,15 +193,15 @@ class TestEngineAgainstReference:
         ds = make(200, seed=seed)
         xb = _with_ones(_standardize(ds.rows)[0], np.float64)
         ys = ds.target[:, None].astype(np.float64)
-        got, _ = _fit_logistic(xb, ys, FIXED_EPOCHS)
+        got, _ = _fit_logistic(xb, ys, DEFAULT_LOGISTIC, tol=0)
         assert got.dtype == np.float64
-        assert np.abs(got - _reference_fit(xb, ys, FIXED_EPOCHS)).max() <= 1e-12
+        assert np.abs(got - _reference_fit(xb, ys, DEFAULT_LOGISTIC)).max() <= 1e-12
 
     def test_float32_permuted_label_batch(self):
         xb, ys = _probe_batch(median_split_availability, 400)
-        got, _ = _fit_logistic(xb, ys, FIXED_EPOCHS)
+        got, _ = _fit_logistic(xb, ys, DEFAULT_LOGISTIC, tol=0)
         assert got.dtype == np.float32 and got.shape == (3, 201)
-        assert np.abs(got - _reference_fit(xb, ys, FIXED_EPOCHS)).max() <= 1e-5
+        assert np.abs(got - _reference_fit(xb, ys, DEFAULT_LOGISTIC)).max() <= 1e-5
 
 
 class TestEarlyStop:
@@ -215,16 +212,16 @@ class TestEarlyStop:
         else:
             ds = null_dataset(200, seed=0)
             xb, ys = _with_ones(_standardize(ds.rows)[0], dtype), ds.target[:, None].astype(dtype)
-        got, ran = _fit_logistic(xb, ys, FIXED_EPOCHS)
-        want = _fixed_epoch_fit(xb, ys, FIXED_EPOCHS)[0]
+        got, ran = _fit_logistic(xb, ys, DEFAULT_LOGISTIC, tol=0)
+        want = _fixed_epoch_fit(xb, ys, DEFAULT_LOGISTIC)[0]
         assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
-        assert (ran == FIXED_EPOCHS.epochs).all()
+        assert (ran == DEFAULT_LOGISTIC.epochs).all()
 
     @pytest.mark.parametrize("make, n", [(independent_availability, 600), (median_split_availability, 400)])
     def test_a_column_stops_once_its_gradient_is_flat(self, make, n):
         xb, ys = _probe_batch(make, n)
         got, ran = _fit_logistic(xb, ys, DEFAULT_LOGISTIC)
-        tol, epochs = DEFAULT_LOGISTIC.tol, DEFAULT_LOGISTIC.epochs
+        tol, epochs = construction._TOL, DEFAULT_LOGISTIC.epochs
         stopped = ran < epochs
         assert stopped.any()
         x64 = xb.astype(np.float64)
