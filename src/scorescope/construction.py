@@ -11,7 +11,6 @@ a depth-1 decision stump, and the two trivial baselines.
 from __future__ import annotations
 
 import enum
-import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -23,19 +22,16 @@ from .ingest import TabularDataset
 
 @dataclass(frozen=True)
 class LogisticConfig:
-    epochs: int = 500  # the most a fit runs
-    learning_rate: float = 0.1
+    epochs: int = 500  # the most updates a fit runs
 
     def __post_init__(self) -> None:
         if isinstance(self.epochs, bool) or not isinstance(self.epochs, numbers.Integral) or self.epochs < 1:
             raise PreconditionError(f"logistic epochs must be an integer >= 1, got {self.epochs!r}")
-        rate = self.learning_rate
-        if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not 0.0 < rate < math.inf:
-            raise PreconditionError(f"logistic learning_rate must be a finite number > 0, got {rate!r}")
 
 
 DEFAULT_LOGISTIC = LogisticConfig()
 _TOL = 1e-4  # a column stops once its max |gradient| / rows is below this (scikit-learn's default)
+_CUTOFF = 1e-6  # _bound_step drops Gram eigenvalues below this times the largest: near-duplicate features
 
 
 @dataclass(frozen=True)
@@ -141,10 +137,23 @@ def _with_ones(z: np.ndarray, dtype) -> np.ndarray:
     return np.hstack([z, np.ones((z.shape[0], 1))]).astype(dtype)
 
 
+def _bound_step(xb: np.ndarray) -> np.ndarray:
+    """4 (xb.T @ xb)^+ in the dtype of ``xb``, worked out in float64 from the Gram eigenvalues above ``_CUTOFF``.
+
+    The log-loss Hessian never exceeds xb.T @ xb / 4, so a step ``-P @ g``
+    lowers the loss whatever the data, separable too (Böhning & Lindsay
+    1988); a dropped eigenvalue leaves the weights alone along its direction.
+    """
+    x = xb.astype(np.float64)
+    vals, vecs = np.linalg.eigh(x.T @ x)
+    kept = vals > _CUTOFF * vals[-1]
+    return ((vecs[:, kept] * (4.0 / vals[kept])) @ vecs[:, kept].T).astype(xb.dtype)
+
+
 def _fit_logistic(
     xb: np.ndarray, ys: np.ndarray, logistic: LogisticConfig, tol: float = _TOL
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Full-batch gradient descent on log loss, one model per label column.
+    """Full-batch log-loss fits, one model per label column, each update ``w -= _bound_step(xb) @ g``.
 
     ``xb`` is a design matrix from ``_with_ones`` (the last weight is the
     bias); ``ys`` holds one {0,1} label vector per column. Weights start at
@@ -166,7 +175,7 @@ def _fit_logistic(
     z = buf.reshape(n, c)
     half = xb * 0.5  # exact for normal floats: halving only lowers the exponent
     const = xb.T @ np.subtract(0.5, ys, out=z)  # z is free until the loop
-    step = xb.dtype.type(logistic.learning_rate / n)
+    step = _bound_step(xb)
     limit = tol * n
     live = np.arange(c)  # the batch's columns, as columns of ``ys``
     for epoch in range(logistic.epochs):
@@ -182,7 +191,7 @@ def _fit_logistic(
             if not live.size:
                 break
             z = buf[: n * live.size].reshape(n, live.size)
-        w -= step * g
+        w -= step @ g
     weights[:, live] = w
     return weights, ran
 

@@ -146,17 +146,22 @@ class TestLogistic:
         assert np.array_equal(_fit(ds)[1], _fit(ds)[1])
 
 
-def _reference_fit(xb, ys, logistic):
-    """Gradient descent on log loss with the sigmoid written as 1 / (1 + exp(-t))."""
+def _pinv_step(xb):
+    """The engine's step matrix 4 (X'X)^+ from numpy's pseudo-inverse, with the engine's eigenvalue cutoff."""
+    x = xb.astype(np.float64)
+    return (4 * np.linalg.pinv(x.T @ x, rtol=construction._CUTOFF, hermitian=True)).astype(xb.dtype)
+
+
+def _reference_fit(xb, ys, step):
+    """Preconditioned descent on log loss with the sigmoid written as 1 / (1 + exp(-t))."""
     w = np.zeros((xb.shape[1], ys.shape[1]), dtype=xb.dtype)
-    step = xb.dtype.type(logistic.learning_rate / xb.shape[0])
-    for _ in range(logistic.epochs):
+    for _ in range(DEFAULT_LOGISTIC.epochs):
         p = np.reciprocal(1 + np.exp(-(xb @ w)))
-        w -= step * (xb.T @ (p - ys))
+        w -= step @ (xb.T @ (p - ys))
     return w
 
 
-def _fixed_epoch_fit(xb, ys, logistic):
+def _fixed_epoch_fit(xb, ys, step):
     """The engine's tanh-form loop as it was before a column could stop early: every column runs every epoch.
 
     Also returns, for each epoch, the weights and the largest gradient entry per column before its update.
@@ -165,16 +170,15 @@ def _fixed_epoch_fit(xb, ys, logistic):
     z = np.empty((xb.shape[0], ys.shape[1]), dtype=xb.dtype)
     half = xb * 0.5
     const = xb.T @ np.subtract(0.5, ys, out=z)
-    step = xb.dtype.type(logistic.learning_rate / xb.shape[0])
     path, steepest = [], []
-    for _ in range(logistic.epochs):
+    for _ in range(DEFAULT_LOGISTIC.epochs):
         np.matmul(half, w, out=z)
         np.tanh(z, out=z)
         g = half.T @ z
         g += const
         path.append(w.copy())
         steepest.append(np.abs(g).max(axis=0))
-        w -= step * g
+        w -= step @ g
     return w, np.array(path), np.array(steepest)
 
 
@@ -195,13 +199,13 @@ class TestEngineAgainstReference:
         ys = ds.target[:, None].astype(np.float64)
         got, _ = _fit_logistic(xb, ys, DEFAULT_LOGISTIC, tol=0)
         assert got.dtype == np.float64
-        assert np.abs(got - _reference_fit(xb, ys, DEFAULT_LOGISTIC)).max() <= 1e-12
+        assert np.abs(got - _reference_fit(xb, ys, _pinv_step(xb))).max() <= 1e-12
 
     def test_float32_permuted_label_batch(self):
         xb, ys = _probe_batch(median_split_availability, 400)
         got, _ = _fit_logistic(xb, ys, DEFAULT_LOGISTIC, tol=0)
         assert got.dtype == np.float32 and got.shape == (3, 201)
-        assert np.abs(got - _reference_fit(xb, ys, DEFAULT_LOGISTIC)).max() <= 1e-5
+        assert np.abs(got - _reference_fit(xb, ys, _pinv_step(xb))).max() <= 1e-5
 
 
 class TestEarlyStop:
@@ -213,7 +217,7 @@ class TestEarlyStop:
             ds = null_dataset(200, seed=0)
             xb, ys = _with_ones(_standardize(ds.rows)[0], dtype), ds.target[:, None].astype(dtype)
         got, ran = _fit_logistic(xb, ys, DEFAULT_LOGISTIC, tol=0)
-        want = _fixed_epoch_fit(xb, ys, DEFAULT_LOGISTIC)[0]
+        want = _fixed_epoch_fit(xb, ys, construction._bound_step(xb))[0]
         assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
         assert (ran == DEFAULT_LOGISTIC.epochs).all()
 
@@ -229,7 +233,7 @@ class TestEarlyStop:
         flat = np.abs(x64.T @ (p - ys)).max(axis=0) / n  # the float64 gradient of the weights returned
         assert (flat[stopped] < tol * (1 + 1e-3)).all()
         # against the fixed-epoch loop: a column stops at the first epoch that meets tol, with that epoch's weights
-        _, path, steepest = _fixed_epoch_fit(xb, ys, DEFAULT_LOGISTIC)
+        _, path, steepest = _fixed_epoch_fit(xb, ys, construction._bound_step(xb))
         steepest /= n
         for j in range(ys.shape[1]):
             assert (steepest[: ran[j], j] >= tol * (1 - 1e-3)).all()
@@ -243,6 +247,55 @@ class TestEarlyStop:
         learn = learnability_gap(null_dataset(200, seed=0), seed=0)
         assert len(learn.fold_epochs) == len(learn.fold_aucs) == 5
         assert all(0 < e < DEFAULT_LOGISTIC.epochs for e in learn.fold_epochs)
+
+
+def _log_loss(xb, ys, w):
+    """Summed log loss, each term as log(1 + exp(-margin)) so that a small loss keeps its digits."""
+    return float(np.logaddexp(0.0, np.where(ys == 1, -1.0, 1.0) * (xb @ w)).sum())
+
+
+@st.composite
+def _designs(draw):
+    """A float64 design and labels: coin-flip labels, a separable split, or coin flips with a duplicated column."""
+    n, d, seed = draw(st.integers(4, 40)), draw(st.integers(1, 4)), draw(st.integers(0, 2**16))
+    kind = draw(st.sampled_from(["coin", "separable", "duplicate"]))
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    y = x[:, 0] > np.median(x[:, 0]) if kind == "separable" else rng.random(n) < 0.5
+    if kind == "duplicate":
+        x = np.column_stack([x, x[:, 0]])
+    return _with_ones(_standardize(x)[0], np.float64), y[:, None].astype(np.float64)
+
+
+class TestBoundStep:
+    @given(_designs())
+    @settings(max_examples=60, deadline=None)
+    def test_every_update_lowers_the_log_loss(self, design):
+        xb, ys = design
+        losses = [_log_loss(xb, ys, np.zeros((xb.shape[1], 1)))]
+        for epochs in range(1, 13):  # a fit of k + 1 updates makes the k updates of a fit of k first
+            losses.append(_log_loss(xb, ys, _fit_logistic(xb, ys, LogisticConfig(epochs=epochs), tol=0)[0]))
+        assert all(after <= before * (1 + 1e-12) for before, after in zip(losses, losses[1:]))
+
+    @pytest.mark.parametrize("noise", [1e-6, 0.0])  # 0: an exact duplicate, whose Gram matrix is singular
+    def test_a_near_duplicate_feature_leaves_the_probe_alone(self, noise):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(2000, 3))
+        has = (rng.random(2000) < 1 / (1 + np.exp(-0.68 * x[:, 0]))).astype(int)
+        twin = np.column_stack([x, x[:, 0] + noise * rng.normal(size=2000)])
+        base, report = bias_severity(x, has, seed=0), bias_severity(twin, has, seed=0)
+        assert report.severity is base.severity is BiasSeverity.MILD
+        assert report.auc == pytest.approx(base.auc, abs=1e-3)
+        ys = np.column_stack([has] + [rng.permutation(has) for _ in range(20)]).astype(np.float32)
+        w, _ = _fit_logistic(_with_ones(_standardize(twin)[0], np.float32), ys, DEFAULT_LOGISTIC)
+        assert np.isfinite(w).all()
+
+    def test_the_learnability_fit_converges_on_a_setup_table(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(2000, 6))
+        y = (rng.random(2000) < 1 / (1 + np.exp(-(1.5 * x[:, 1] - x[:, 2])))).astype(int)
+        report = learnability_gap(dataset_from_arrays(tuple("abcdef"), x, y), seed=0)
+        assert all(e < DEFAULT_LOGISTIC.epochs for e in report.fold_epochs)
 
 
 class TestStump:
@@ -493,7 +546,7 @@ class TestBiasSeverity:
 
 def test_logistic_config_is_tunable():
     ds = separable_dataset(60, seed=0)
-    quick = _fit(ds, LogisticConfig(epochs=5, learning_rate=0.5))[1]
+    quick = _fit(ds, LogisticConfig(epochs=1))[1]
     assert not np.array_equal(quick[:-1], _fit(ds)[1][:-1])  # the feature weights, bias aside
 
 
