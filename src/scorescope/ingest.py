@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 import time
 from array import array
@@ -40,6 +41,20 @@ _HEAD_BYTES = 256
 
 _scan = json.JSONDecoder().scan_once  # the scanner json.loads runs, at its defaults
 _JSON_SPACE = " \t\n\r"  # the whitespace json.loads allows around a value
+
+# A line in the layout write_score_log writes: json.dumps's default separators, model_id, ts and
+# score, then an optional entity_id, class and label, in that order. Its strings hold no `"`, `\`
+# or control character, ts has at most 18 digits and score a fraction or an exponent, so a match's
+# groups (model_id, score text, entity_id, class) are what json.loads gives, float(score) included.
+# Each variable part is atomic, a capturing lookahead and its backreference (Python 3.10 has no
+# possessive quantifiers), so a line that nearly matches fails without backtracking.
+_TEXT = r'[^"\\\x00-\x1f]'
+_CANONICAL = re.compile(
+    r'\{"model_id": "(?=(' + _TEXT + r'+))\1", "ts": (?:0|[1-9][0-9]{0,17}), '
+    r'"score": (?=(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+)))\2'
+    r'(?:, "entity_id": "(?=(' + _TEXT + r'*))\3")?(?:, "class": "(?=(' + _TEXT + r'*))\4")?'
+    r'(?:, "label": [01])?\}[ \t\n\r]*'
+).fullmatch
 
 
 @dataclass(frozen=True)
@@ -316,17 +331,23 @@ def parse_score_lines(
     is kept, or is skipped as malformed, as ``out_of_range`` says.
 
     ``parse_score_line`` defines a valid line. A line is decoded as strict
-    UTF-8 and scanned by json.loads's own scanner; a line that is one JSON
-    object whose fields ``parse_score_line`` takes as they are (str
-    model_id, int ts, float score in range, str or absent entity and class,
-    int 0/1 or absent label) goes straight into the columns, and every other
-    line goes to ``parse_score_line`` for its record, reason or error.
+    UTF-8 and read by the first of three tiers that takes it. A line in
+    ``write_score_log``'s layout (``_CANONICAL``) with its score in range
+    goes straight into the columns. Else json.loads's own scanner reads it,
+    and a line that is one JSON object whose fields ``parse_score_line``
+    takes as they are (str model_id, int ts, float score in range, str or
+    absent entity and class, int 0/1 or absent label) goes into the
+    columns too. Every other line goes to ``parse_score_line`` for its
+    record, reason or error. The first line of a batch that the scanner
+    takes turns the layout pattern off for the rest of that batch, so a
+    log in another layout is not matched twice.
     """
     keep = out_of_range == "keep"
     lo, hi = (-sys.float_info.max, sys.float_info.max) if keep else (0.0, 1.0)  # NaN fails both
     line_no = 0
     for batch in batches:
         columns = models, scores, entities, classes = [], [], [], []  # one entry per kept line
+        canonical = _CANONICAL  # None for the rest of the batch once a valid line in another layout is seen
         for raw in batch:
             line_no += 1
             try:
@@ -334,6 +355,16 @@ def parse_score_lines(
             except UnicodeDecodeError:
                 malformed.append((line_no, "invalid UTF-8"))
                 continue
+            match = canonical and canonical(line)
+            if match:
+                m, s, e, c = match.groups()
+                s = float(s)
+                if lo <= s <= hi:
+                    models.append(m)
+                    scores.append(s)
+                    entities.append(e)
+                    classes.append(c)
+                    continue
             try:
                 obj, end = _scan(line, 0)
             except (StopIteration, ValueError, RecursionError):  # parse_score_line says what is wrong
@@ -354,6 +385,7 @@ def parse_score_lines(
                     scores.append(s)
                     entities.append(e)
                     classes.append(c)
+                    canonical = None
                     continue
             if not line.strip():
                 continue
@@ -393,9 +425,11 @@ def read_score_log(path: str | Path, *, rescale: bool = False) -> ScoreLog:
 
 def _rescaled(scores: np.ndarray) -> np.ndarray:
     lo, hi = float(scores.min()), float(scores.max())
-    if hi > lo:
+    if not hi > lo:
+        return np.full_like(scores, 0.5)  # constant file: midpoint
+    if math.isfinite(hi - lo):
         return (scores - lo) / (hi - lo)
-    return np.full_like(scores, 0.5)  # constant file: midpoint
+    return (scores / 2 - lo / 2) / (hi / 2 - lo / 2)  # hi - lo overflows: halve each term first
 
 
 def write_score_log(records: Iterable[ScoreRecord], path: str | Path) -> None:

@@ -116,6 +116,13 @@ class TestRdcCommand:
         rescaled = (scores - scores.min()) / (scores.max() - scores.min())
         assert json.loads(out)["results"]["models"]["m1"]["counts"] == build_rdc(rescaled).counts.tolist()
 
+    def test_rescale_charts_a_range_wider_than_the_largest_float(self, tmp_path, capsys):
+        path = write_log(tmp_path / "wide.jsonl", [-1.5e308, 1.5e308] + [0.5] * 200)
+        code, out, _ = run(["rdc", "--input", path, "--rescale"], capsys)
+        assert code == 0
+        counts = json.loads(out)["results"]["models"]["m1"]["counts"]
+        assert (counts[0], counts[-1], sum(counts)) == (1, 1, 202)
+
     def test_too_few_records_exits_two(self, tmp_path, capsys):
         path = write_log(tmp_path / "tiny.jsonl", [0.5] * 10)
         code, _, err = run(["rdc", "--input", path], capsys)

@@ -3,13 +3,14 @@
 import csv
 import io
 import json
+import math
 import os
 import re
 import tempfile
 import threading
 import time
 from dataclasses import fields, replace
-from itertools import chain
+from itertools import chain, product
 from pathlib import Path
 from unittest import mock
 
@@ -93,6 +94,12 @@ class TestScoreLog:
         ]
         log = read_score_log(write_lines(tmp_path / "log.jsonl", lines), rescale=True)
         assert log.columns.score.tolist() == [0.0, 0.25, 1.0]
+
+    def test_rescale_survives_a_range_past_the_largest_float(self, tmp_path):
+        scores = [-1.5e308, 1.5e308] + [0.5] * 200  # hi - lo overflows to inf
+        lines = ['{"model_id":"m1","ts":%d,"score":%r}' % (i, s) for i, s in enumerate(scores)]
+        log = read_score_log(write_lines(tmp_path / "log.jsonl", lines), rescale=True)
+        assert log.columns.score[:3].tolist() == [0.0, 1.0, 0.5]
 
     def test_rescale_constant_file_maps_to_midpoint(self, tmp_path):
         lines = ['{"model_id":"m1","ts":%d,"score":7.5}' % i for i in range(3)]
@@ -191,6 +198,34 @@ class TestScoreLog:
         assert columns.entity_id.tolist() == ["e0", None, "e1", None, "e2", 'e"q', "e3"]
         classes = [columns.class_ids[i] if i >= 0 else None for i in columns.class_code]
         assert classes == [None, "c1", None, None, None, "c\n", None]
+
+    def test_the_writer_layout_is_read_without_the_scanner(self, tmp_path):
+        records = [
+            ScoreRecord(f"m{i % 3}", ts, score, *optional)
+            for i, optional in enumerate(product(["e1", None], ["c1", None], [1, None]))
+            for ts, score in enumerate([0.0, 1.0, 5e-324, 1e-05, 0.1], start=10**17 * i)
+        ]
+        path = tmp_path / "log.jsonl"
+        write_score_log(records, path)
+        with mock.patch.object(ingest, "_scan", side_effect=AssertionError("the scanner read a writer line")):
+            log = read_score_log(path)
+        assert log.columns == ScoreColumns.from_records(records) and log.skipped == 0
+        assert log.columns.score.tobytes() == np.array([r.score for r in records]).tobytes()
+
+    def test_a_valid_line_in_another_layout_turns_the_layout_pattern_off_for_its_batch(self):
+        writer = b'{"model_id": "m1", "ts": 0, "score": 0.5}\n'
+        malformed = b'{"model_id": "m1", "ts": 1, "sco\n'
+        shuffled = b'{"ts": 2, "model_id": "m2", "score": 0.25}\n'
+        batches = [[writer, malformed, writer, shuffled, writer, writer], [writer, writer]]
+        skipped = []
+        with mock.patch.object(ingest, "_CANONICAL", wraps=ingest._CANONICAL) as pattern:
+            first, second = ingest.parse_score_lines(batches, skipped)
+        # a malformed line fails both tiers and leaves the pattern on; the next batch starts with it on
+        assert [c.args[0] for c in pattern.call_args_list] == [
+            line.decode() for line in [writer, malformed, writer, shuffled, writer, writer]
+        ]
+        assert first.score.tolist() == [0.5, 0.5, 0.25, 0.5, 0.5] and len(second) == 2
+        assert [line_no for line_no, _ in skipped] == [2]
 
     def test_take_keeps_the_code_tables(self, tmp_path):
         lines = ['{"model_id":"m%d","ts":%d,"score":0.5}' % (i % 2, i) for i in range(6)]
@@ -504,12 +539,17 @@ def _oracle(path, data: bytes, rescale: bool):
     if rescale and records:
         scores = np.array([r.score for r in records], dtype=np.float64)
         lo, hi = float(scores.min()), float(scores.max())
-        scaled = (scores - lo) / (hi - lo) if hi > lo else np.full_like(scores, 0.5)
+        if not hi > lo:
+            scaled = np.full_like(scores, 0.5)
+        elif math.isfinite(hi - lo):
+            scaled = (scores - lo) / (hi - lo)
+        else:  # hi - lo overflows
+            scaled = (scores / 2 - lo / 2) / (hi / 2 - lo / 2)
         records = [replace(r, score=float(s)) for r, s in zip(records, scaled)]
     return ScoreColumns.from_records(records), skipped
 
 
-_RECORD_LINES = st.fixed_dictionaries(
+_RECORDS = st.fixed_dictionaries(
     {
         "model_id": st.sampled_from(["m1", "m2", "é", "\ud800", ""]),
         "ts": st.integers(0, 2**70) | st.sampled_from([2**63 - 1, 2**63, 2**64]),
@@ -520,44 +560,88 @@ _RECORD_LINES = st.fixed_dictionaries(
         "class": st.sampled_from(["a", "b", None, ["a"]]),
         "label": st.sampled_from([0, 1, None, True, 1.0, 2]),
     },
-).map(lambda obj: [json.dumps(obj).encode()])
-
-_ODD_LINES = st.sampled_from(
-    [
-        # the six malformed kinds of the benchmark's logs
-        [b'{"model_id": "m0", "ts": 1, "sco'],
-        [b"[1, 2, 3]"],
-        [b'{"ts": 5, "score": 0.5}'],
-        [b'{"model_id": "m1", "ts": -3, "score": 0.5}'],
-        [b'{"model_id": "m1", "ts": 7, "score": "0.5"}'],
-        [b'{"model_id": "m1", "ts": 9, "score": 0.5, "label": 2}'],
-        # blank, and only Unicode whitespace
-        [b""], [b"   "], [b"\r"], [b"\x0c"], ["\x85".encode()], ["\u2028\u3000".encode()],
-        # not UTF-8, and an encoded lone surrogate
-        [b"\xff\xfe"],
-        [b'{"model_id": "m\xff", "ts": 0, "score": 0.5}'],
-        [b"\xed\xa0\x80"],
-        [b'{"model_id": "\xed\xa0\x80", "ts": 0, "score": 0.5}'],
-        # non-finite and out-of-range scores
-        [b'{"model_id": "m1", "ts": 0, "score": NaN}'],
-        [b'{"model_id": "m1", "ts": 0, "score": Infinity}'],
-        [b'{"model_id": "m1", "ts": 0, "score": -Infinity}'],
-        [b'{"model_id": "m1", "ts": 0, "score": 1e400}'],
-        [b'{"model_id": "m1", "ts": 0, "score": 1' + b"0" * 400 + b"}"],
-        [b'{"model_id": "m1", "ts": 0, "score": 1.5}'],
-        [b'{"model_id": "m2", "ts": 0, "score": -0.25}'],
-        [b'{"model_id": "m1", "ts": 0, "score": 2}'],
-        # two objects on a line, and three lines that only decode as one array
-        [b'{"model_id": "m1", "ts": 1, "score": 0.5} {"model_id": "m1", "ts": 2, "score": 0.5}'],
-        [b'{"model_id": "m1", "ts": 1, "score": 0.5}, {"model_id": "m1", "ts": 2, "score": 0.5}'],
-        [b'{"model_id": "m", "ts": 1, "score": 0.5, "a": [[', b"]]}", b"{}],[{}"],
-        # valid only after json.loads's own whitespace rule, a BOM, a repeated key
-        [b' \t{"model_id": "m1", "ts": 3, "score": 0.25}\r'],
-        [b'{"model_id": "m1", "ts": 3, "score": 0.25}\x0c'],
-        ['\ufeff{"model_id": "m1", "ts": 3, "score": 0.25}'.encode()],
-        [b'{"model_id": "m1", "ts": 3, "score": 7.0, "score": 0.75}'],
-    ]
 )
+# in the writer's layout; raw non-ASCII too, where a lone surrogate becomes bytes that are not UTF-8
+_RECORD_LINES = st.builds(
+    lambda obj, ascii: [json.dumps(obj, ensure_ascii=ascii).encode("utf-8", "surrogatepass")], _RECORDS, st.booleans()
+)
+
+_ODD_GROUPS = [
+    # the six malformed kinds of the benchmark's logs
+    [b'{"model_id": "m0", "ts": 1, "sco'],
+    [b"[1, 2, 3]"],
+    [b'{"ts": 5, "score": 0.5}'],
+    [b'{"model_id": "m1", "ts": -3, "score": 0.5}'],
+    [b'{"model_id": "m1", "ts": 7, "score": "0.5"}'],
+    [b'{"model_id": "m1", "ts": 9, "score": 0.5, "label": 2}'],
+    # blank, and only Unicode whitespace
+    [b""], [b"   "], [b"\r"], [b"\x0c"], ["\x85".encode()], ["\u2028\u3000".encode()],
+    # not UTF-8, and an encoded lone surrogate
+    [b"\xff\xfe"],
+    [b'{"model_id": "m\xff", "ts": 0, "score": 0.5}'],
+    [b"\xed\xa0\x80"],
+    [b'{"model_id": "\xed\xa0\x80", "ts": 0, "score": 0.5}'],
+    # non-finite and out-of-range scores
+    [b'{"model_id": "m1", "ts": 0, "score": NaN}'],
+    [b'{"model_id": "m1", "ts": 0, "score": Infinity}'],
+    [b'{"model_id": "m1", "ts": 0, "score": -Infinity}'],
+    [b'{"model_id": "m1", "ts": 0, "score": 1e400}'],
+    [b'{"model_id": "m1", "ts": 0, "score": 1' + b"0" * 400 + b"}"],
+    [b'{"model_id": "m1", "ts": 0, "score": 1.5}'],
+    [b'{"model_id": "m2", "ts": 0, "score": -0.25}'],
+    [b'{"model_id": "m1", "ts": 0, "score": 2}'],
+    # two objects on a line, and three lines that only decode as one array
+    [b'{"model_id": "m1", "ts": 1, "score": 0.5} {"model_id": "m1", "ts": 2, "score": 0.5}'],
+    [b'{"model_id": "m1", "ts": 1, "score": 0.5}, {"model_id": "m1", "ts": 2, "score": 0.5}'],
+    [b'{"model_id": "m", "ts": 1, "score": 0.5, "a": [[', b"]]}", b"{}],[{}"],
+    # valid only after json.loads's own whitespace rule, a BOM, a repeated key
+    [b' \t{"model_id": "m1", "ts": 3, "score": 0.25}\r'],
+    [b'{"model_id": "m1", "ts": 3, "score": 0.25}\x0c'],
+    ['\ufeff{"model_id": "m1", "ts": 3, "score": 0.25}'.encode()],
+    [b'{"model_id": "m1", "ts": 3, "score": 7.0, "score": 0.75}'],
+    # a score range whose width overflows a float, for rescale
+    [b'{"model_id": "m1", "ts": 0, "score": -1.5e+308}', b'{"model_id": "m1", "ts": 1, "score": 1.5e+308}'],
+    # near misses of the writer's layout: an empty id, raw control characters and DEL, escapes, an escaped key
+    [b'{"model_id": "", "ts": 0, "score": 0.5}'],
+    [b'{"model_id": "m\t1", "ts": 0, "score": 0.5}'],
+    [b'{"model_id": "m1", "ts": 0, "score": 0.5, "entity_id": "e\x1f"}'],
+    [b'{"model_id": "m1", "ts": 0, "score": 0.5, "class": "c\x7f"}'],
+    [b'{"model_id": "m\\"1", "ts": 0, "score": 0.5}'],
+    [b'{"model_id": "m\\u0041", "ts": 0, "score": 0.5}'],
+    [b'{"model\\u005fid": "m1", "ts": 0, "score": 0.5}'],
+    # timestamps of 18, 19 and 5000 digits, and a leading zero
+    [b'{"model_id": "m1", "ts": ' + b"9" * 18 + b', "score": 0.5}'],
+    [b'{"model_id": "m1", "ts": ' + b"9" * 19 + b', "score": 0.5}'],
+    [b'{"model_id": "m1", "ts": 1' + b"0" * 4999 + b', "score": 0.5}'],
+    [b'{"model_id": "m1", "ts": 01, "score": 0.5}'],
+    # score spellings: exponents, and numbers JSON refuses, an integer and a negative zero
+    *([b'{"model_id": "m1", "ts": 0, "score": %s}' % s] for s in [
+        b"5e-1", b"1E0", b"0.5E+0", b"00.5", b".5", b"1.", b"0.5e", b"+0.5", b"-0", b"-0.0",
+    ]),
+    # trailing whitespace, labels, and keys out of the writer's order or beyond it
+    [b'{"model_id": "m1", "ts": 0, "score": 0.5}\r'],
+    [b'{"model_id": "m1", "ts": 0, "score": 0.5}   '],
+    [b'{"model_id": "m1", "ts": 0, "score": 0.5, "label": 1}'],
+    [b'{"model_id": "m1", "ts": 0, "score": 0.5, "label": true}'],
+    [b'{"model_id": "m1", "ts": 0, "score": 0.5, "label": 0, "class": "a"}'],
+    [b'{"model_id": "m1", "ts": 0, "score": 0.5, "class": "a", "x": 1}'],
+]
+_ODD_LINES = st.sampled_from(_ODD_GROUPS)
+
+
+def _assert_reads_as_the_oracle(path, data: bytes, rescale: bool, batch_bytes: int):
+    path.write_bytes(data)
+    expected = _oracle(path, data, rescale)
+    with mock.patch.object(ingest, "_BATCH_BYTES", batch_bytes):
+        try:
+            log = read_score_log(path, rescale=rescale)
+        except InputError as exc:
+            got = str(exc)
+        else:
+            got = log.columns, log.skipped_lines
+    assert got == expected
+    if not isinstance(got, str):
+        assert got[0].score.tobytes() == expected[0].score.tobytes()  # == takes -0.0 for 0.0; the bytes do not
 
 
 @given(
@@ -570,19 +654,15 @@ _ODD_LINES = st.sampled_from(
 def test_reader_matches_parse_score_line_line_by_line(groups, final_newline, rescale, batch_bytes):
     data = b"\n".join(line for group in groups for line in group) + b"\n" * final_newline
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "log.jsonl"
-        path.write_bytes(data)
-        expected = _oracle(path, data, rescale)
-        with mock.patch.object(ingest, "_BATCH_BYTES", batch_bytes):
-            try:
-                log = read_score_log(path, rescale=rescale)
-            except InputError as exc:
-                got = str(exc)
-            else:
-                got = log.columns, log.skipped_lines
-    assert got == expected
-    if not isinstance(got, str):
-        assert got[0].score.tobytes() == expected[0].score.tobytes()  # == takes -0.0 for 0.0; the bytes do not
+        _assert_reads_as_the_oracle(Path(tmp) / "log.jsonl", data, rescale, batch_bytes)
+
+
+@pytest.mark.parametrize("rescale", [False, True])
+def test_every_odd_line_reads_as_parse_score_line_reads_it(tmp_path, rescale):
+    """Each odd group among writer-layout lines, whether or not the property above draws it."""
+    writer = [json.dumps({"model_id": "m1", "ts": 0, "score": 0.25}).encode()] * 20
+    for i, group in enumerate(_ODD_GROUPS):
+        _assert_reads_as_the_oracle(tmp_path / f"{i}.jsonl", b"\n".join([*writer, *group, *writer]), rescale, 1 << 20)
 
 
 # ---------------------------------------------------------------------------

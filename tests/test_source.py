@@ -11,11 +11,15 @@ imported module; importing it without using it does not count. The check
 goes by name only, so a public name is still taken as read when a local
 variable of the same name is loaded anywhere in those files. No module
 imports a private name from another package module: a private name is its
-module's own business.
+module's own business. Last, the score-log layout pattern must compile on the
+oldest Python that ``pyproject.toml`` allows.
 """
 
 import ast
+import re
 from pathlib import Path
+
+from scorescope import ingest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "scorescope"
@@ -181,3 +185,10 @@ def test_the_check_finds_a_private_import(tmp_path):
         encoding="utf-8",
     )
     assert private_imports(tmp_path) == ["mod.py:3: imports _CSV_BATCH_BYTES from .ingest"]
+
+
+def test_the_layout_pattern_compiles_on_the_oldest_python_allowed():
+    """pyproject.toml allows Python 3.10, whose re has no possessive quantifiers and no atomic groups."""
+    pattern = ingest._CANONICAL.__self__.pattern
+    assert "(?>" not in pattern
+    assert re.search(r"[*+?}]\+", pattern) is None
