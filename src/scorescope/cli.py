@@ -34,7 +34,6 @@ from .blocked import (
 from .charts import curve_chart, rdc_chart
 from .construction import (
     DEFAULT_BIAS_CUTOFFS,
-    DEFAULT_LOGISTIC,
     BiasSeverity,
     bias_severity,
     check_probe_settings,
@@ -119,7 +118,7 @@ def _apply_section(instance, section: str, overrides: dict, **flags):
     unknown = sorted(set(data) - set(settable))
     if unknown:
         raise InputError(f"config section {section!r} has unknown keys: {', '.join(unknown)}")
-    known_sections = {"diagnosis", "monitor", "bias_cutoffs", "logistic"}
+    known_sections = {"diagnosis", "monitor", "bias_cutoffs"}
     stray = sorted(set(overrides) - known_sections)
     if stray:
         raise InputError(f"unknown config sections: {', '.join(stray)}")
@@ -221,10 +220,10 @@ def _check_probe_flags(args) -> None:
         raise PreconditionError("workers must be >= 1")
 
 
-def _bias_probe(args, features, flags, cutoffs, logistic) -> dict:
+def _bias_probe(args, features, flags, cutoffs) -> dict:
     """The selection-bias probe's results, noting when the p-value floor put SEVERE out of reach."""
     k = args.permutations
-    results = asdict(bias_severity(features, flags, args.folds, k, args.seed, cutoffs, logistic))
+    results = asdict(bias_severity(features, flags, args.folds, k, args.seed, cutoffs))
     if 1 / (k + 1) > cutoffs.severe_p:
         results["severe_unreachable"] = f"SEVERE needs p <= {cutoffs.severe_p}; {k} permutations give p >= 1/{k + 1}"
     return results
@@ -234,9 +233,8 @@ def cmd_bias(args):
     _check_probe_flags(args)
     overrides = _load_overrides(args.config)
     cutoffs = _apply_section(DEFAULT_BIAS_CUTOFFS, "bias_cutoffs", overrides)
-    logistic = _apply_section(DEFAULT_LOGISTIC, "logistic", overrides)
     dataset = read_tabular(args.input, args.availability_column, impute=args.impute)
-    results = _bias_probe(args, dataset.rows, dataset.target, cutoffs, logistic)
+    results = _bias_probe(args, dataset.rows, dataset.target, cutoffs)
     results["note"] = (
         "severity cutoffs are heuristic conventions; a separable availability "
         "flag means metrics on labeled rows will not transfer to serving traffic"
@@ -246,7 +244,6 @@ def cmd_bias(args):
         "folds": args.folds,
         "permutations": args.permutations,
         "seed": args.seed,
-        "logistic": asdict(logistic),
     }
     code = EXIT_STRICT if args.strict and results["severity"] is not BiasSeverity.NONE else EXIT_OK
     return {"input": args.input}, results, decisions, code
@@ -268,21 +265,19 @@ def cmd_setup(args):
     _check_probe_flags(args)  # checked even when the probe does not run
     overrides = _load_overrides(args.config)
     cutoffs = _apply_section(DEFAULT_BIAS_CUTOFFS, "bias_cutoffs", overrides)
-    logistic = _apply_section(DEFAULT_LOGISTIC, "logistic", overrides)
     dataset = read_tabular(args.input, args.target, impute=args.impute)
     flags = None
     if args.availability_column:
         dataset, flags = _split_availability(dataset, args.availability_column)
         check_probe_settings(args.permutations, len(flags))  # before the learnability folds run
     balance = class_balance(dataset.target)
-    learnability = learnability_gap(dataset, folds=args.folds, seed=args.seed, logistic=logistic)
+    learnability = learnability_gap(dataset, folds=args.folds, seed=args.seed)
     results = {"balance": asdict(balance), "learnability": asdict(learnability), "bias": None}
     if flags is not None:
-        results["bias"] = _bias_probe(args, dataset.rows, flags, cutoffs, logistic)
+        results["bias"] = _bias_probe(args, dataset.rows, flags, cutoffs)
     decisions = {
         "folds": args.folds,
         "seed": args.seed,
-        "logistic": asdict(logistic),
         "cutoffs": asdict(cutoffs),
     }
     return {"input": args.input}, results, decisions, EXIT_OK

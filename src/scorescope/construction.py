@@ -11,7 +11,6 @@ a depth-1 decision stump, and the two trivial baselines.
 from __future__ import annotations
 
 import enum
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,16 +19,7 @@ from .errors import PreconditionError
 from .ingest import TabularDataset
 
 
-@dataclass(frozen=True)
-class LogisticConfig:
-    epochs: int = 500  # the most updates a fit runs
-
-    def __post_init__(self) -> None:
-        if isinstance(self.epochs, bool) or not isinstance(self.epochs, numbers.Integral) or self.epochs < 1:
-            raise PreconditionError(f"logistic epochs must be an integer >= 1, got {self.epochs!r}")
-
-
-DEFAULT_LOGISTIC = LogisticConfig()
+_MAX_EPOCHS = 500  # the most updates a fit runs; only a fit that never meets _TOL runs them all
 _TOL = 1e-4  # a column stops once its max |gradient| / rows is below this (scikit-learn's default)
 _CUTOFF = 1e-6  # _bound_step drops Gram eigenvalues below this times the largest: near-duplicate features
 
@@ -150,9 +140,7 @@ def _bound_step(xb: np.ndarray) -> np.ndarray:
     return ((vecs[:, kept] * (4.0 / vals[kept])) @ vecs[:, kept].T).astype(xb.dtype)
 
 
-def _fit_logistic(
-    xb: np.ndarray, ys: np.ndarray, logistic: LogisticConfig, tol: float = _TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def _fit_logistic(xb: np.ndarray, ys: np.ndarray, tol: float = _TOL) -> tuple[np.ndarray, np.ndarray]:
     """Full-batch log-loss fits, one model per label column, each update ``w -= _bound_step(xb) @ g``.
 
     ``xb`` is a design matrix from ``_with_ones`` (the last weight is the
@@ -161,7 +149,7 @@ def _fit_logistic(
     buffers: float32 for the bias probe's hundreds of permutation refits,
     float64 for a single model. A column stops before the first update at
     which its gradient's largest entry is below ``tol`` times the row count,
-    and leaves the batch; the others run on, to ``epochs`` at most. With
+    and leaves the batch; the others run on, to ``_MAX_EPOCHS`` at most. With
     ``tol`` 0 no column stops early. Returns the weight matrix, one column
     per label column, and the number of updates each column ran.
     """
@@ -169,7 +157,7 @@ def _fit_logistic(
     # with sigmoid(t) = 1/2 + tanh(t/2)/2 the gradient xb.T @ (sigmoid(xb @ w) - ys)
     # is half.T @ tanh(half @ w) + xb.T @ (1/2 - ys), whose second term is fixed
     weights = np.empty((xb.shape[1], c), dtype=xb.dtype)
-    ran = np.full(c, logistic.epochs)
+    ran = np.full(c, _MAX_EPOCHS)
     w = np.zeros_like(weights)
     buf = np.empty(n * c, dtype=xb.dtype)  # the live columns use its first n * k elements
     z = buf.reshape(n, c)
@@ -178,7 +166,7 @@ def _fit_logistic(
     step = _bound_step(xb)
     limit = tol * n
     live = np.arange(c)  # the batch's columns, as columns of ``ys``
-    for epoch in range(logistic.epochs):
+    for epoch in range(_MAX_EPOCHS):
         np.matmul(half, w, out=z)
         np.tanh(z, out=z)
         g = half.T @ z
@@ -245,7 +233,6 @@ def _out_of_fold_aucs(
     x: np.ndarray,
     labels: np.ndarray,
     folds: list[np.ndarray],
-    logistic: LogisticConfig,
     floor: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fit every label column on each fold's training rows and score its test rows.
@@ -273,7 +260,7 @@ def _out_of_fold_aucs(
         train = np.ones(len(x), dtype=bool)
         train[test_idx] = False
         z, means, stds, kept = _standardize(x[train])
-        w, epochs[k, cols] = _fit_logistic(_with_ones(z, labels.dtype), labels[train][:, cols], logistic)
+        w, epochs[k, cols] = _fit_logistic(_with_ones(z, labels.dtype), labels[train][:, cols])
         z_test = (x[np.ix_(test_idx, np.flatnonzero(kept))] - means) / stds
         scores = _with_ones(z_test, labels.dtype) @ w
         aucs[k, cols], defined[k, cols] = _columnwise_auc(scores, labels[test_idx][:, cols])
@@ -297,7 +284,7 @@ class LearnabilityReport:
     majority_accuracy: float
     stump_auc: float | None
     fold_aucs: tuple[float, ...]
-    fold_epochs: tuple[int, ...]  # epochs each fold's fit ran; ``epochs`` means it never met ``tol``
+    fold_epochs: tuple[int, ...]  # epochs each fold's fit ran; ``_MAX_EPOCHS`` means it never met ``_TOL``
     skipped_folds: tuple[dict, ...]
     folds: int
     seed: int
@@ -307,7 +294,6 @@ def learnability_gap(
     dataset: TabularDataset,
     folds: int = 5,
     seed: int = 0,
-    logistic: LogisticConfig = DEFAULT_LOGISTIC,
 ) -> LearnabilityReport:
     """Cross-validated edge of the simple model over the trivial baselines.
 
@@ -332,7 +318,7 @@ def learnability_gap(
         stump_aucs.append(auc(stump.predict_proba(x[test_idx]), y_test))
     if not fitted:
         raise PreconditionError("every fold was single-class; cannot estimate learnability")
-    aucs, _, epochs = _out_of_fold_aucs(x, y[:, None].astype(np.float64), fitted, logistic)
+    aucs, _, epochs = _out_of_fold_aucs(x, y[:, None].astype(np.float64), fitted)
     fold_aucs = aucs[:, 0].tolist()
     mean_auc = float(np.mean(fold_aucs))
     positive_rate = float(y.mean())
@@ -410,7 +396,6 @@ def bias_severity(
     permutations: int = 200,
     seed: int = 0,
     cutoffs: BiasCutoffs = DEFAULT_BIAS_CUTOFFS,
-    logistic: LogisticConfig = DEFAULT_LOGISTIC,
 ) -> BiasReport:
     """Probe how separable the labeled subpopulation is from the rest.
 
@@ -443,13 +428,13 @@ def bias_severity(
     for j in range(1, permutations + 1):
         labels[:, j] = y[rng.permutation(n)]
 
-    aucs, defined, epochs = _out_of_fold_aucs(x, labels[:, :1], fold_idx, logistic)
+    aucs, defined, epochs = _out_of_fold_aucs(x, labels[:, :1], fold_idx)
     if not defined.any():
         raise PreconditionError("no fold had both availability classes; cannot estimate the probe AUC")
     observed = float(aucs[defined].sum() / defined.sum())
     # a shuffled column that can no longer reach the observed AUC cannot count in b, so its
     # later folds are skipped; it keeps a defined fold, so it still counts in m
-    null_aucs, null_defined, _ = _out_of_fold_aucs(x, labels[:, 1:], fold_idx, logistic, floor=observed)
+    null_aucs, null_defined, _ = _out_of_fold_aucs(x, labels[:, 1:], fold_idx, floor=observed)
     # a permuted column with no valid fold cannot be scored; drop it from the null
     valid = null_defined.any(axis=0)
     null = np.where(null_defined, null_aucs, 0.0).sum(axis=0)[valid] / null_defined.sum(axis=0)[valid]

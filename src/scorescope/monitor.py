@@ -198,7 +198,7 @@ class WatchSummary:
     dropped: dict[str, int] = field(default_factory=dict)
     overridden: int = 0
     malformed_lines: int = 0
-    skipped_references: dict[str, str] = field(default_factory=dict)  # model -> why its chart went unused
+    skipped_references: dict[str, str] = field(default_factory=dict)  # model -> why it has no reference chart
 
 
 def watch(
@@ -214,14 +214,15 @@ def watch(
     """Window a score log per model and check every window for drift.
 
     Each window is compared with its model's chart from the ``reference``
-    log, or else with the model's first window; a reference chart too small
-    to diagnose is left out and named in ``skipped_references``. Overrides
-    apply before windowing; malformed lines, out-of-range scores included,
-    are counted in ``malformed_lines`` and skipped. The tailed log has no
-    malformed-line limit, unlike a log ``read_score_log`` reads whole: a
-    live tail never knows its final share of bad lines, so it keeps going
-    however many there are. ``on_alert`` sees each alert as its window
-    completes. With ``follow`` the log is tailed and the call never returns.
+    log, or else with the model's first window; a model the reference log
+    has no records for, or too few to diagnose, is named with the reason in
+    ``skipped_references``. Overrides apply before windowing; malformed
+    lines, out-of-range scores included, are counted in ``malformed_lines``
+    and skipped. The tailed log has no malformed-line limit, unlike a log
+    ``read_score_log`` reads whole: a live tail never knows its final share
+    of bad lines, so it keeps going however many there are. ``on_alert``
+    sees each alert as its window completes. With ``follow`` the log is
+    tailed and the call never returns.
     """
     if not 0.0 < poll_interval < math.inf:
         raise PreconditionError(f"poll_interval must be a finite number > 0, got {poll_interval!r}")
@@ -241,6 +242,8 @@ def watch(
     def handle(result: WindowResult) -> None:
         summary.windows += 1
         summary.partial_windows += result.partial
+        if reference and result.model_id not in references:  # its first window becomes its reference
+            summary.skipped_references.setdefault(result.model_id, "no records in the reference log")
         reference_pair = references.setdefault(result.model_id, (result.rdc, result.diagnosis))
         for alert in check_drift(result, reference_pair, config):
             summary.alerts[alert.kind.value] = summary.alerts.get(alert.kind.value, 0) + 1

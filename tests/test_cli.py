@@ -395,29 +395,21 @@ class TestBiasCommand:
         assert report["results"]["severity"] == "NONE"
         assert report["decisions"]["cutoffs"]["severe_auc"] == 0.75
 
-    @pytest.mark.parametrize(
-        "logistic",
-        [{"epochs": "500"}, {"epochs": 0}, {"epochs": True}],
-    )
-    def test_bad_logistic_config_exits_two(self, tmp_path, capsys, logistic):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"logistic": logistic}), encoding="utf-8")
-        argv = ["bias", "--input", self.make_csv(tmp_path), "--availability-column", "has_label"]
-        code, out, err = run(argv + ["--permutations", "5", "--config", str(config)], capsys)
-        assert code == 2 and out == ""
-        assert err.startswith("error: logistic ") and "Traceback" not in err
-
-
     def test_logistic_seed_is_gone(self, tmp_path, capsys):
-        argv = ["bias", "--input", self.make_csv(tmp_path), "--availability-column", "has_label", "--permutations", "5"]
-        code, out, _ = run(argv, capsys)
-        assert code == 0
-        assert json.loads(out)["decisions"]["logistic"] == {"epochs": 500}
+        """The fit has no settings at all: no ``logistic`` decisions, and a ``logistic`` config section exits 1."""
+        x, has = median_split_availability(200, seed=0)
+        rows = [f"{a:.6f},{b:.6f},{int(b > 0)},{h}" for (a, b), h in zip(x, has)]
+        path = write_csv(tmp_path / "t.csv", "f1,f2,target,has_label", rows)
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"logistic": {"seed": 3}}), encoding="utf-8")
-        code, _, err = run(argv + ["--config", str(config)], capsys)
-        assert code == 1
-        assert "unknown keys: seed" in err
+        config.write_text(json.dumps({"logistic": {"epochs": 500}}), encoding="utf-8")
+        for command in (["bias"], ["setup", "--target", "target"]):
+            argv = [*command, "--input", path, "--availability-column", "has_label", "--permutations", "5"]
+            code, out, _ = run(argv, capsys)
+            assert code == 0
+            assert "logistic" not in json.loads(out)["decisions"]
+            code, out, err = run(argv + ["--config", str(config)], capsys)
+            assert code == 1 and out == ""
+            assert err == "error: unknown config sections: logistic\n"
 
     @pytest.mark.parametrize(
         "command, permutations, noted",
@@ -689,6 +681,18 @@ class TestWatchCommand:
         run(argv + ["--reference", str(stream)], capsys)
         assert "skipped_references" not in json.loads(report_path.read_text(encoding="utf-8"))["results"]
 
+    def test_a_model_missing_from_the_reference_log_is_named(self, tmp_path, capsys):
+        reference = write_log(tmp_path / "ref.jsonl", bimodal_scores(3000, 1), model_id="other")
+        stream = write_log(tmp_path / "s.jsonl", bimodal_scores(250, 3), model_id="m")
+        report_path = tmp_path / "r.json"
+        argv = ["watch", "--input", stream, "--once", "--window", "100", "--output", str(report_path)]
+        assert run(argv + ["--reference", reference], capsys)[0] == 0
+        results = json.loads(report_path.read_text(encoding="utf-8"))["results"]
+        assert results["skipped_references"] == {"m": "no records in the reference log"}
+        assert results["windows"] == 2
+        assert run(argv, capsys)[0] == 0  # with no reference log, no model is named
+        assert "skipped_references" not in json.loads(report_path.read_text(encoding="utf-8"))["results"]
+
     @pytest.mark.parametrize("interval", ["-1", "0", "nan", "inf"])
     def test_poll_interval_must_be_finite_and_positive(self, tmp_path, capsys, interval):
         stream = write_log(tmp_path / "s.jsonl", bimodal_scores(200, 5))
@@ -820,8 +824,7 @@ def test_watch_counts_each_out_of_range_score_once(data, valid, out_of_range):
         ("rdc", {"diagnosis": {"window": "5"}}, 2, "error: diagnosis window must be an integer, got '5'"),
         ("rdc", {"diagnosis": {"min_samples": 100.0}}, 2, "error: diagnosis min_samples must be an integer, got 100.0"),
         ("bias", {"bias_cutoffs": {"severe_auc": "x"}}, 2, "error: bias_cutoffs severe_auc must be a number, got 'x'"),
-        ("bias", {"logistic": {"learning_rate": 0.1}}, 1,
-         "error: config section 'logistic' has unknown keys: learning_rate"),
+        ("bias", {"logistic": {"learning_rate": 0.1}}, 1, "error: unknown config sections: logistic"),
         ("watch", {"monitor": {"window_size": "abc"}}, 2, "error: monitor window_size must be an integer, got 'abc'"),
         ("watch", {"monitor": {"diagnosis": {}}}, 1, "error: config section 'monitor' has unknown keys: diagnosis"),
         ("watch", {"monitor": {"bins": 50}}, 1, "error: config section 'monitor' has unknown keys: bins"),
@@ -845,6 +848,26 @@ def test_config_value_of_the_wrong_type_is_an_error_line(tmp_path, capsys, comma
         argv += ["--once"] if command == "watch" else []
     got, _, err = run(argv + ["--config", str(config), "--output", str(tmp_path / "r.json")], capsys)
     assert (got, err.strip()) == (code, message)
+
+
+@pytest.mark.parametrize("command", ["rdc", "bias"])
+def test_the_readme_config_example_runs(tmp_path, capsys, bimodal_log, command):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("\n### Config file\n", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    config = tmp_path / "settings.json"
+    config.write_text(example, encoding="utf-8")
+    if command == "bias":
+        x, has = median_split_availability(200, seed=0)
+        rows = [f"{a:.6f},{b:.6f},{h}" for (a, b), h in zip(x, has)]
+        argv = ["bias", "--input", write_csv(tmp_path / "t.csv", "f1,f2,avail", rows), "--availability-column", "avail"]
+        argv += ["--permutations", "5"]
+    else:
+        argv = ["rdc", "--input", bimodal_log]
+    code, out, err = run(argv + ["--config", str(config)], capsys)
+    assert (code, err) == (0, "")
+    decisions = json.loads(out)["decisions"]
+    section, applied = ("diagnosis", decisions) if command == "rdc" else ("bias_cutoffs", decisions["cutoffs"])
+    assert applied.items() >= json.loads(example)[section].items()
 
 
 @pytest.mark.parametrize("command", ["rdc", "watch"])

@@ -16,10 +16,8 @@ from generators import (
 )
 from scorescope import construction
 from scorescope.construction import (
-    DEFAULT_LOGISTIC,
     MAX_PROBE_CELLS,
     BiasSeverity,
-    LogisticConfig,
     _columnwise_auc,
     _fit_logistic,
     _fold_indices,
@@ -104,10 +102,10 @@ class TestAuc:
         assert auc(scores, labels) + auc(scores, 1 - labels) == pytest.approx(1.0)
 
 
-def _fit(ds, logistic=DEFAULT_LOGISTIC):
+def _fit(ds):
     """One float64 fit of the engine on ``ds``'s standardized features: the design and its weights, bias last."""
     xb = _with_ones(_standardize(ds.rows)[0], np.float64)
-    return xb, _fit_logistic(xb, ds.target[:, None].astype(np.float64), logistic)[0][:, 0]
+    return xb, _fit_logistic(xb, ds.target[:, None].astype(np.float64))[0][:, 0]
 
 
 class TestLogistic:
@@ -155,7 +153,7 @@ def _pinv_step(xb):
 def _reference_fit(xb, ys, step):
     """Preconditioned descent on log loss with the sigmoid written as 1 / (1 + exp(-t))."""
     w = np.zeros((xb.shape[1], ys.shape[1]), dtype=xb.dtype)
-    for _ in range(DEFAULT_LOGISTIC.epochs):
+    for _ in range(construction._MAX_EPOCHS):
         p = np.reciprocal(1 + np.exp(-(xb @ w)))
         w -= step @ (xb.T @ (p - ys))
     return w
@@ -171,7 +169,7 @@ def _fixed_epoch_fit(xb, ys, step):
     half = xb * 0.5
     const = xb.T @ np.subtract(0.5, ys, out=z)
     path, steepest = [], []
-    for _ in range(DEFAULT_LOGISTIC.epochs):
+    for _ in range(construction._MAX_EPOCHS):
         np.matmul(half, w, out=z)
         np.tanh(z, out=z)
         g = half.T @ z
@@ -197,13 +195,13 @@ class TestEngineAgainstReference:
         ds = make(200, seed=seed)
         xb = _with_ones(_standardize(ds.rows)[0], np.float64)
         ys = ds.target[:, None].astype(np.float64)
-        got, _ = _fit_logistic(xb, ys, DEFAULT_LOGISTIC, tol=0)
+        got, _ = _fit_logistic(xb, ys, tol=0)
         assert got.dtype == np.float64
         assert np.abs(got - _reference_fit(xb, ys, _pinv_step(xb))).max() <= 1e-12
 
     def test_float32_permuted_label_batch(self):
         xb, ys = _probe_batch(median_split_availability, 400)
-        got, _ = _fit_logistic(xb, ys, DEFAULT_LOGISTIC, tol=0)
+        got, _ = _fit_logistic(xb, ys, tol=0)
         assert got.dtype == np.float32 and got.shape == (3, 201)
         assert np.abs(got - _reference_fit(xb, ys, _pinv_step(xb))).max() <= 1e-5
 
@@ -216,16 +214,16 @@ class TestEarlyStop:
         else:
             ds = null_dataset(200, seed=0)
             xb, ys = _with_ones(_standardize(ds.rows)[0], dtype), ds.target[:, None].astype(dtype)
-        got, ran = _fit_logistic(xb, ys, DEFAULT_LOGISTIC, tol=0)
+        got, ran = _fit_logistic(xb, ys, tol=0)
         want = _fixed_epoch_fit(xb, ys, construction._bound_step(xb))[0]
         assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
-        assert (ran == DEFAULT_LOGISTIC.epochs).all()
+        assert (ran == construction._MAX_EPOCHS).all()
 
     @pytest.mark.parametrize("make, n", [(independent_availability, 600), (median_split_availability, 400)])
     def test_a_column_stops_once_its_gradient_is_flat(self, make, n):
         xb, ys = _probe_batch(make, n)
-        got, ran = _fit_logistic(xb, ys, DEFAULT_LOGISTIC)
-        tol, epochs = construction._TOL, DEFAULT_LOGISTIC.epochs
+        got, ran = _fit_logistic(xb, ys)
+        tol, epochs = construction._TOL, construction._MAX_EPOCHS
         stopped = ran < epochs
         assert stopped.any()
         x64 = xb.astype(np.float64)
@@ -243,10 +241,10 @@ class TestEarlyStop:
 
     def test_reports_give_the_epochs_of_each_fold(self):
         report = bias_severity(*median_split_availability(400, seed=0), permutations=20, seed=0)
-        assert report.fold_epochs == (DEFAULT_LOGISTIC.epochs,) * 5  # no MLE: the gradient never flattens
+        assert report.fold_epochs == (construction._MAX_EPOCHS,) * 5  # no MLE: the gradient never flattens
         learn = learnability_gap(null_dataset(200, seed=0), seed=0)
         assert len(learn.fold_epochs) == len(learn.fold_aucs) == 5
-        assert all(0 < e < DEFAULT_LOGISTIC.epochs for e in learn.fold_epochs)
+        assert all(0 < e < construction._MAX_EPOCHS for e in learn.fold_epochs)
 
 
 def _log_loss(xb, ys, w):
@@ -273,8 +271,12 @@ class TestBoundStep:
     def test_every_update_lowers_the_log_loss(self, design):
         xb, ys = design
         losses = [_log_loss(xb, ys, np.zeros((xb.shape[1], 1)))]
-        for epochs in range(1, 13):  # a fit of k + 1 updates makes the k updates of a fit of k first
-            losses.append(_log_loss(xb, ys, _fit_logistic(xb, ys, LogisticConfig(epochs=epochs), tol=0)[0]))
+        with pytest.MonkeyPatch.context() as mp:  # the monkeypatch fixture is not undone between Hypothesis examples
+            for epochs in range(1, 13):  # a fit of k + 1 updates makes the k updates of a fit of k first
+                mp.setattr(construction, "_MAX_EPOCHS", epochs)
+                w, ran = _fit_logistic(xb, ys, tol=0)
+                assert ran[0] == epochs
+                losses.append(_log_loss(xb, ys, w))
         assert all(after <= before * (1 + 1e-12) for before, after in zip(losses, losses[1:]))
 
     @pytest.mark.parametrize("noise", [1e-6, 0.0])  # 0: an exact duplicate, whose Gram matrix is singular
@@ -287,7 +289,7 @@ class TestBoundStep:
         assert report.severity is base.severity is BiasSeverity.MILD
         assert report.auc == pytest.approx(base.auc, abs=1e-3)
         ys = np.column_stack([has] + [rng.permutation(has) for _ in range(20)]).astype(np.float32)
-        w, _ = _fit_logistic(_with_ones(_standardize(twin)[0], np.float32), ys, DEFAULT_LOGISTIC)
+        w, _ = _fit_logistic(_with_ones(_standardize(twin)[0], np.float32), ys)
         assert np.isfinite(w).all()
 
     def test_the_learnability_fit_converges_on_a_setup_table(self):
@@ -295,7 +297,7 @@ class TestBoundStep:
         x = rng.normal(size=(2000, 6))
         y = (rng.random(2000) < 1 / (1 + np.exp(-(1.5 * x[:, 1] - x[:, 2])))).astype(int)
         report = learnability_gap(dataset_from_arrays(tuple("abcdef"), x, y), seed=0)
-        assert all(e < DEFAULT_LOGISTIC.epochs for e in report.fold_epochs)
+        assert all(e < construction._MAX_EPOCHS for e in report.fold_epochs)
 
 
 class TestStump:
@@ -544,12 +546,6 @@ class TestBiasSeverity:
         assert ranks[0] <= ranks[1] <= ranks[2]
 
 
-def test_logistic_config_is_tunable():
-    ds = separable_dataset(60, seed=0)
-    quick = _fit(ds, LogisticConfig(epochs=1))[1]
-    assert not np.array_equal(quick[:-1], _fit(ds)[1][:-1])  # the feature weights, bias aside
-
-
 def test_permutation_p_is_never_zero():
     report = bias_severity(*median_split_availability(800, seed=0), permutations=20, seed=0)
     assert report.auc >= 0.95
@@ -582,9 +578,9 @@ def _recorded_probe(x, has, permutations, seed):
     """``bias_severity``'s report, the label columns it fitted and what each of its fold loops returned."""
     fitted, returned = [], []
 
-    def fit(xb, ys, logistic):
+    def fit(xb, ys):
         fitted.append(ys.shape[1])
-        return _fit_logistic(xb, ys, logistic)
+        return _fit_logistic(xb, ys)
 
     def fold_loop(*args, **kwargs):
         returned.append(_out_of_fold_aucs(*args, **kwargs))
@@ -616,7 +612,7 @@ def test_a_pruned_null_gives_the_full_fit_verdict(n, d, permutations, signal, se
     rng = np.random.default_rng(seed)
     folds = _fold_indices(n, 5, rng)
     labels = np.column_stack([has] + [has[rng.permutation(n)] for _ in range(permutations)]).astype(np.float32)
-    aucs, defined, _ = _out_of_fold_aucs(x, labels, folds, DEFAULT_LOGISTIC)
+    aucs, defined, _ = _out_of_fold_aucs(x, labels, folds)
     valid = defined[:, 1:].any(axis=0)
     assert np.array_equal(null_defined.any(axis=0), valid)  # the same m scorable shuffles
     null = (np.where(defined, aucs, 0.0).sum(axis=0) / np.maximum(defined.sum(axis=0), 1))[1:][valid]

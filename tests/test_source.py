@@ -11,8 +11,10 @@ imported module; importing it without using it does not count. The check
 goes by name only, so a public name is still taken as read when a local
 variable of the same name is loaded anywhere in those files. No module
 imports a private name from another package module: a private name is its
-module's own business. Last, the score-log layout pattern must compile on the
-oldest Python that ``pyproject.toml`` allows.
+module's own business. The config sections that ``cli._apply_section``
+accepts must be the sections its callers apply, so that no section is
+accepted and then used by no command. Last, the score-log layout pattern
+must compile on the oldest Python that ``pyproject.toml`` allows.
 """
 
 import ast
@@ -134,6 +136,17 @@ def private_imports(src: Path = SRC) -> list[str]:
     ]
 
 
+def config_sections(path: Path = SRC / "cli.py") -> tuple[set[str], set[str]]:
+    """The ``known_sections`` literal in ``path`` and the section names its ``_apply_section`` calls pass."""
+    known, applied = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "known_sections" for t in node.targets):
+            known |= ast.literal_eval(node.value)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_apply_section":
+            applied.add(ast.literal_eval(node.args[1]))
+    return known, applied
+
+
 def test_no_unused_import_or_private_name():
     assert dead_code() == []
 
@@ -192,3 +205,17 @@ def test_the_layout_pattern_compiles_on_the_oldest_python_allowed():
     pattern = ingest._CANONICAL.__self__.pattern
     assert "(?>" not in pattern
     assert re.search(r"[*+?}]\+", pattern) is None
+
+
+def test_every_accepted_config_section_is_applied():
+    known, applied = config_sections()
+    assert applied and known == applied
+
+
+def test_the_check_finds_a_section_no_command_applies(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        'def _apply_section(instance, section):\n    known_sections = {"a", "gone"}\n\n\n'
+        'def cmd(args):\n    return _apply_section(args, "a")\n',
+        encoding="utf-8",
+    )
+    assert config_sections(tmp_path / "cli.py") == ({"a", "gone"}, {"a"})
