@@ -106,22 +106,33 @@ class TabularDataset(ArrayFieldsEq):
 
 
 @dataclass(frozen=True, eq=False)
-class ScoreColumns(ArrayFieldsEq):
+class ModelScores(ArrayFieldsEq):
+    """Score-log records' model codes and scores, in file order, and their
+    entity ids when they were built: the columns ``watch`` reads.
+
+    Model ids are codes into a table sorted by id.
+    """
+
+    model_ids: tuple[str, ...]
+    model: np.ndarray  # (n,) int32 codes into model_ids
+    score: np.ndarray  # (n,) float64
+    entity_id: np.ndarray | None  # (n,) object: str, or None where absent; None when not built
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+
+@dataclass(frozen=True, eq=False)
+class ScoreColumns(ModelScores):
     """Score-log records as columns, in file order: the fields some caller reads.
 
     Model ids and class labels are codes into tables sorted by id. A line's
     ``ts`` and ``label`` are validated but not kept.
     """
 
-    model_ids: tuple[str, ...]
-    model: np.ndarray  # (n,) int32 codes into model_ids
-    score: np.ndarray  # (n,) float64
     entity_id: np.ndarray  # (n,) object: str, or None where absent
     class_ids: tuple[str, ...]
     class_code: np.ndarray  # (n,) int32 codes into class_ids, -1 where absent
-
-    def __len__(self) -> int:
-        return len(self.score)
 
     @classmethod
     def from_records(cls, records: Iterable[ScoreRecord]) -> ScoreColumns:
@@ -171,6 +182,13 @@ def _encode(values: Sequence) -> tuple[tuple[str, ...], np.ndarray]:
     rank = {v: i for i, v in enumerate(table)}
     rank[None] = -1
     return table, np.fromiter(map(rank.__getitem__, values), dtype=np.int32, count=len(values))
+
+
+def model_scores(models: list, scores: list, entities: list | None = None) -> ModelScores:
+    """Model codes and scores of records given field by field, in order; entity ids only when given."""
+    model_ids, model = _encode(models)
+    entity_id = None if entities is None else np.array(entities, dtype=object)
+    return ModelScores(model_ids, model, np.array(scores, dtype=np.float64), entity_id)
 
 
 def _score_columns(models: list, scores: list, entities: list, classes: list) -> ScoreColumns:
@@ -321,9 +339,14 @@ def parse_score_lines(
     malformed: list[tuple[int, str]],
     *,
     out_of_range: Literal["raise", "keep", "skip"] = "raise",
-) -> Iterator[ScoreColumns]:
+    build: Callable[[list, list, list, list], _T] = _score_columns,
+) -> Iterator[_T]:
     """Parse batches of raw score-log lines into columns, one per batch,
     numbering lines from 1 across batches.
+
+    Each batch's kept lines go to ``build`` as four lists in file order
+    (model ids, scores, entity ids, class labels), and what it returns is
+    yielded: by default the batch's ``ScoreColumns``.
 
     Blank lines are passed over; a line that is not UTF-8 or fails
     validation is skipped and appends ``(line_no, reason)`` to
@@ -395,7 +418,7 @@ def parse_score_lines(
                 if out_of_range == "raise" and isinstance(exc, _OutOfRange):
                     raise InputError(f"line {line_no}: {exc} (use rescale to min-max rescale the file)") from None
                 malformed.append((line_no, str(exc)))
-        yield _score_columns(*columns)
+        yield build(*columns)
 
 
 def read_score_log(path: str | Path, *, rescale: bool = False) -> ScoreLog:

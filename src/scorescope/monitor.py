@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .ingest import ScoreColumns, ScoreRecord, parse_score_lines, read_log_lines, read_score_log
+from .ingest import ModelScores, ScoreRecord, model_scores, parse_score_lines, read_log_lines, read_score_log
 from .rdc import DEFAULT_DIAGNOSIS, DiagnosisConfig, Rdc, RdcDiagnosis, RdcPattern, build_rdc, charts_by, diagnose
 from .rdc import diagnose_or_skip, rdc_distance
 
@@ -167,11 +167,12 @@ class OverrideRule:
             raise PreconditionError("a rule must match on model_id or entity_id")
 
 
-def apply_overrides(columns: ScoreColumns, rules: Sequence[OverrideRule]) -> tuple[ScoreColumns, int]:
+def apply_overrides(columns: ModelScores, rules: Sequence[OverrideRule]) -> tuple[ModelScores, int]:
     """Force each record's score to that of the first rule it matches.
 
     Returns the columns with the forced scores (every other column as it
-    was) and how many records were overridden.
+    was, of the same type) and how many records were overridden. Entity ids
+    are read only for a rule that names an entity.
     """
     score = columns.score.copy()
     free = np.ones(len(columns), dtype=bool)  # records no earlier rule matched
@@ -250,8 +251,14 @@ def watch(
             summary.alert_count += 1
             on_alert(alert)
 
+    named = any(rule.entity_id is not None for rule in rules)
+
+    def columns(models: list, scores: list, entities: list, _classes: list) -> ModelScores:
+        # what a tailed batch is read for: no class column, and entity ids only for a rule that names one
+        return model_scores(models, scores, entities if named else None)
+
     lines = read_log_lines(path, follow=follow, poll_interval=poll_interval)
-    for batch in parse_score_lines(lines, malformed, out_of_range="skip"):
+    for batch in parse_score_lines(lines, malformed, out_of_range="skip", build=columns):
         summary.malformed_lines += len(malformed)
         malformed.clear()
         if rules:

@@ -76,10 +76,16 @@ def build_rdc(scores, bin_count: int = 100) -> Rdc:
         raise PreconditionError("at least one score is required")
     if bin_count < 2:
         raise PreconditionError("bin_count must be >= 2")
-    if not np.isfinite(scores).all() or scores.min() < 0.0 or scores.max() > 1.0:
+    if not (scores.min() >= 0.0 and scores.max() <= 1.0):  # NaN fails both
         raise PreconditionError("scores must lie in [0, 1]")
-    counts, edges = np.histogram(scores, bins=bin_count, range=(0.0, 1.0))
-    return Rdc(edges, counts.astype(np.int64), int(scores.size))
+    edges = np.linspace(0.0, 1.0, bin_count + 1)
+    # np.histogram's arithmetic for equal bins over [0, 1], without its wrapper: scale to a bin,
+    # then move a score within an ulp of an edge to the side of it that the edge itself puts it on
+    idx = (scores * bin_count).astype(np.intp)
+    idx[idx == bin_count] -= 1
+    idx[scores < edges[idx]] -= 1
+    idx[(scores >= edges[idx + 1]) & (idx != bin_count - 1)] += 1
+    return Rdc(edges, np.bincount(idx, minlength=bin_count), int(scores.size))
 
 
 def log_view(rdc: Rdc) -> np.ndarray:
@@ -118,11 +124,13 @@ def smooth(rdc: Rdc, window: int = 5) -> SmoothedRdc:
     half = window // 2
     k = rdc.bin_count
     # per-window means (not a cumsum sweep): windows holding the same values
-    # produce bit-identical heights, which mode plateaus rely on
+    # produce bit-identical heights, which mode plateaus rely on; sum / count
+    # is the reduction mean makes, without its wrapper
     averaged = np.empty(k)
-    averaged[half : k - half] = sliding_window_view(freqs, window).mean(axis=1)
+    averaged[half : k - half] = sliding_window_view(freqs, window).sum(axis=1) / window
     for i in (*range(half), *range(k - half, k)):  # truncated windows at the edges
-        averaged[i] = freqs[max(i - half, 0) : min(i + half + 1, k)].mean()
+        lo, hi = max(i - half, 0), min(i + half + 1, k)
+        averaged[i] = freqs[lo:hi].sum() / (hi - lo)
     heights = averaged / averaged.sum()
     roughness = float(np.abs(freqs - heights).sum())
     return SmoothedRdc(rdc, window, heights, roughness)
@@ -191,11 +199,18 @@ def detect_modes(smoothed: SmoothedRdc, prominence_min: float = 0.10) -> tuple[M
     centers = smoothed.base.centers
     cutoff = prominence_min * float(h.max())
 
+    # Heights are >= 0, so no prominence exceeds its height: only maxima at or above the cutoff
+    # can be kept, and they lie in runs of bins at or above it. A bin next to such a run is
+    # strictly lower, as the array boundary counts in _plateau_maxima, so each run is searched alone.
+    above = np.zeros(len(h) + 2, dtype=bool)
+    above[1:-1] = h >= cutoff
+    runs = np.flatnonzero(above[1:] != above[:-1]).tolist()  # starts and ends of the runs, in turn
     peaks: list[tuple[int, float]] = []
-    for p in _plateau_maxima(heights):
-        prom = _prominence(heights, p)
-        if prom >= cutoff and prom > 0.0:
-            peaks.append((p, prom))
+    for lo, hi in zip(runs[::2], runs[1::2]):
+        for p in _plateau_maxima(heights[lo:hi]):
+            prom = _prominence(heights, lo + p)
+            if prom >= cutoff and prom > 0.0:
+                peaks.append((lo + p, prom))
 
     # basin boundaries: leftmost argmin between each adjacent pair of peaks
     bounds: list[int] = []

@@ -618,6 +618,32 @@ class TestWatchCommand:
         alerts = [json.loads(line) for line in out.strip().splitlines()]
         assert any(a["kind"] == "PATHOLOGY" for a in alerts)  # forced point mass
 
+    @pytest.mark.parametrize("model_rule", [False, True], ids=["entity-alone", "entity-then-model"])
+    def test_entity_override_alerts_as_the_log_rewritten_by_hand(self, tmp_path, capsys, model_rule):
+        records = [
+            ScoreRecord(f"m{i % 2 + 1}", i, float(s), entity_id=f"e{i % 7}")
+            for i, s in enumerate(bimodal_scores(3000, 7))
+        ]
+        rules = ["--override", "entity=e3:score=0.99"] + (["--override", "model=m2:score=0.01"] if model_rule else [])
+
+        def forced(r):  # the rules, first match wins
+            if r.entity_id == "e3":
+                return 0.99
+            return 0.01 if model_rule and r.model_id == "m2" else None
+
+        write_score_log(records, tmp_path / "s.jsonl")
+        by_hand = [r if forced(r) is None else replace(r, score=forced(r)) for r in records]
+        write_score_log(by_hand, tmp_path / "by_hand.jsonl")
+        argv = ["watch", "--once", "--window", "500", "--output", str(tmp_path / "r.json")]
+        code, out, err = run([*argv, "--input", str(tmp_path / "s.jsonl"), *rules], capsys)
+        assert (code, err) == (0, "")
+        overridden = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["results"]["overridden"]
+        assert overridden == sum(forced(r) is not None for r in records)
+        if not model_rule:
+            assert overridden == sum(r.entity_id == "e3" for r in records) == 429
+        code, want, _ = run([*argv, "--input", str(tmp_path / "by_hand.jsonl")], capsys)
+        assert code == 0 and out == want and "PATHOLOGY" in out
+
     def test_bad_override_syntax_exits_one(self, tmp_path, capsys):
         stream = write_log(tmp_path / "s.jsonl", bimodal_scores(200, 5))
         code, _, err = run(["watch", "--input", stream, "--once", "--override", "wat"], capsys)

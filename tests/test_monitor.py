@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from generators import bimodal_scores, central_scores, score_records, spike_scores
 from scorescope import ingest
 from scorescope.errors import PreconditionError
-from scorescope.ingest import ScoreColumns, ScoreRecord, write_score_log
+from scorescope.ingest import ModelScores, ScoreColumns, ScoreRecord, write_score_log
 from scorescope.monitor import (
     AlertKind,
     MonitorConfig,
@@ -225,6 +225,21 @@ class TestWatch:
                 summaries.append(watch(path, MonitorConfig(window_size=500), lambda alert: None))
         assert summaries[0].malformed_lines == summaries[1].malformed_lines == 40
         assert summaries[0] == summaries[1]
+
+    @pytest.mark.parametrize("rule", [OverrideRule(0.5, model_id="m1"), OverrideRule(0.5, entity_id="e1")])
+    def test_a_tailed_batch_has_no_class_column_and_entity_ids_only_for_a_rule_naming_one(self, tmp_path, rule):
+        path = tmp_path / "log.jsonl"
+        write_score_log(score_records(bimodal_scores(300, 13), entity_id="e1", class_label="c1"), path)
+        batches = []
+
+        def recorded(batch, rules):
+            batches.append(batch)
+            return apply_overrides(batch, rules)
+
+        with mock.patch("scorescope.monitor.apply_overrides", recorded):
+            summary = watch(path, MonitorConfig(window_size=100), lambda alert: None, rules=[rule])
+        assert summary.overridden == 300 and [type(batch) for batch in batches] == [ModelScores]
+        assert (batches[0].entity_id is None) == (rule.entity_id is None)
 
 
 def _dummy_diag():

@@ -65,6 +65,36 @@ class TestBuild:
         assert (np.diff(rdc.edges) > 0).all()
 
 
+HISTOGRAM_BINS = st.sampled_from([2, 3, 7, 10, 100, 333, 10_000])
+
+
+@st.composite
+def edge_scores(draw, bins: int):
+    """Scores on a bin edge k / bins or one ulp either side of it, the ends of [0, 1], and uniform floats."""
+    edge = draw(st.integers(0, bins)) / bins
+    return draw(
+        st.sampled_from([edge, float(np.nextafter(edge, 0.0)), float(np.nextafter(edge, 1.0))])
+        | st.sampled_from([0.0, -0.0, 5e-324, 1.0, float(np.nextafter(1.0, 0.0))])
+        | st.floats(0.0, 1.0)
+    )
+
+
+class TestBuildMatchesNumpyHistogram:
+    @given(st.data(), HISTOGRAM_BINS)
+    @settings(max_examples=300, deadline=None)
+    def test_counts_and_edges_are_np_histograms_bit_for_bit(self, data, bins):
+        scores = data.draw(st.lists(edge_scores(bins), min_size=1, max_size=60))
+        rdc = build_rdc(scores, bins)
+        counts, edges = np.histogram(np.array(scores), bins, range=(0.0, 1.0))
+        assert rdc.counts.dtype == np.int64 and rdc.counts.tolist() == counts.tolist()
+        assert rdc.edges.tobytes() == edges.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -5e-324, float(np.nextafter(1.0, 2.0))])
+    def test_a_score_outside_the_unit_interval_is_refused(self, bad):
+        with pytest.raises(PreconditionError, match=r"scores must lie in \[0, 1\]"):
+            build_rdc([0.0, 0.5, bad, 1.0], 10)
+
+
 class TestLogView:
     def test_definition(self):
         lv = log_view(Rdc.from_counts([0, 9]))
@@ -418,6 +448,15 @@ def run_counts(draw, max_bins=200):
     return counts
 
 
+@st.composite
+def spike_over_floor(draw, max_bins=200):
+    """Per-bin counts of a uniform floor of a few scores a bin under one tall bin, as a spike window reads."""
+    bins = draw(st.integers(2, max_bins))
+    counts = draw(st.lists(st.integers(0, 4), min_size=bins, max_size=bins))
+    counts[draw(st.integers(0, bins - 1))] += draw(st.integers(1, 200))
+    return counts
+
+
 def odd_windows(bins: int):
     """Odd windows 1..31 that fit in ``bins``."""
     return st.integers(0, min(15, (bins - 1) // 2)).map(lambda k: 2 * k + 1)
@@ -433,7 +472,7 @@ class TestVectorisedAgainstReference:
         assert np.array_equal(got.heights, want.heights)
         assert got.roughness == want.roughness
 
-    @given(run_counts(), st.data(), st.sampled_from([0.0, 0.05, 0.10, 0.3]))
+    @given(run_counts() | spike_over_floor(), st.data(), st.sampled_from([0.0, 0.05, 0.10, 0.3, 0.5, 1.0]))
     @settings(max_examples=300, deadline=None)
     def test_modes_and_diagnosis_match_the_element_walk(self, counts, data, prominence_min):
         rdc = Rdc.from_counts(counts)
