@@ -22,6 +22,7 @@ from .ingest import TabularDataset
 _MAX_EPOCHS = 500  # the most updates a fit runs; only a fit that never meets _TOL runs them all
 _TOL = 1e-4  # a column stops once its max |gradient| / rows is below this (scikit-learn's default)
 _CUTOFF = 1e-6  # _bound_step drops Gram eigenvalues below this times the largest: near-duplicate features
+_INF_KEY = 0x7F800000  # +inf's float32 bits, its sort key in _tie_split_rank_sums; NaN's bits lie past it
 
 
 @dataclass(frozen=True)
@@ -79,11 +80,24 @@ def auc(scores, labels) -> float:
 
 
 def _columnwise_auc(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mann-Whitney AUC per column of (scores, labels), ranking every column in one pass.
+    """Mann-Whitney AUC per column of (scores, labels), ranking every column at once.
 
     Returns the AUC vector plus a mask of columns where both classes were
     present (elsewhere the AUC is reported as 0.5 but masked out).
     """
+    m = len(scores)
+    n_pos = labels.sum(axis=0, dtype=np.float64)
+    n_neg = m - n_pos
+    defined = (n_pos > 0) & (n_neg > 0)
+    denom = np.where(defined, n_pos * n_neg, 1.0)
+    # 0-based ranks, ties averaged; every sum is exact, so both rankings give the same U
+    rank_sums = _tie_split_rank_sums(scores, labels) if scores.dtype == np.float32 else _rank_sums(scores, labels)
+    u = rank_sums - n_pos * (n_pos - 1) / 2.0
+    return np.where(defined, u / denom, 0.5), defined
+
+
+def _rank_sums(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per column, the sum of the labels times their 0-based ranks, ties averaged, from a stable sort."""
     m, c = scores.shape
     order = np.argsort(scores, axis=0, kind="stable")
     xs = np.take_along_axis(scores, order, axis=0)
@@ -92,15 +106,33 @@ def _columnwise_auc(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray,
     new_run[1:m] = xs[1:] != xs[:-1]
     first = np.maximum.accumulate(np.where(new_run[:m], row, 0), axis=0)
     last = np.minimum.accumulate(np.where(new_run[1:], row, m)[::-1], axis=0)[::-1]
-    ranks = first + (last - first) / 2.0 + 1.0  # 1-based, ties averaged, in score order
-    # the labels follow the scores into that order; every sum below is exact, so the order cannot change it
-    y = np.take_along_axis(labels, order, axis=0).astype(np.float64)
-    n_pos = y.sum(axis=0)
-    n_neg = m - n_pos
-    defined = (n_pos > 0) & (n_neg > 0)
-    denom = np.where(defined, n_pos * n_neg, 1.0)
-    u = (ranks * y).sum(axis=0) - n_pos * (n_pos + 1) / 2.0
-    return np.where(defined, u / denom, 0.5), defined
+    ranks = first + (last - first) / 2.0  # in score order; the labels follow the scores into it
+    return (ranks * np.take_along_axis(labels, order, axis=0).astype(np.float64)).sum(axis=0)
+
+
+def _tie_split_rank_sums(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """``_rank_sums`` of float32 scores and 0/1 labels, from two plain sorts of packed keys.
+
+    A cell's key is its score's bits as an order-preserving int64 (-0.0 as
+    0.0, each NaN past +inf in row order, where a stable sort puts it),
+    shifted up one bit to hold its label. Sorted with negatives first within
+    a tie, a tie's positives take its last positions; sorted with positives
+    first, its first ones. The mean of the two position sums is the sum of
+    their averaged ranks.
+    """
+    m = len(scores)
+    key = np.add(scores.T, np.float32(0.0), order="C").view(np.int32).astype(np.int64)  # -0.0 + 0.0 is 0.0
+    nan = (key & 0x7FFFFFFF) > _INF_KEY  # magnitude bits past inf's
+    key ^= (key >> 31) & 0x7FFFFFFF  # a negative score's magnitude bits reversed, so larger is lower
+    if nan.any():
+        key[nan] = _INF_KEY + 1 + nan.nonzero()[1]
+    key <<= 1
+    key |= labels.T.astype(np.int64)
+    negatives_first = np.sort(key, axis=1) & 1
+    key ^= 1
+    positives_first = np.sort(key, axis=1) & 1  # a positive's bit is 0 here
+    # sum of p over positives_first's 0 bits = sum of all p - sum over its 1 bits
+    return ((negatives_first - positives_first) @ np.arange(m) + m * (m - 1) // 2) / 2.0
 
 
 def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -46,14 +46,13 @@ _JSON_SPACE = " \t\n\r"  # the whitespace json.loads allows around a value
 # score, then an optional entity_id, class and label, in that order. Its strings hold no `"`, `\`
 # or control character, ts has at most 18 digits and score a fraction or an exponent, so a match's
 # groups (model_id, score text, entity_id, class) are what json.loads gives, float(score) included.
-# Each variable part is atomic, a capturing lookahead and its backreference (Python 3.10 has no
-# possessive quantifiers), so a line that nearly matches fails without backtracking.
+# Every quantifier is possessive, so a line that nearly matches fails without backtracking.
 _TEXT = r'[^"\\\x00-\x1f]'
 _CANONICAL = re.compile(
-    r'\{"model_id": "(?=(' + _TEXT + r'+))\1", "ts": (?:0|[1-9][0-9]{0,17}), '
-    r'"score": (?=(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+)))\2'
-    r'(?:, "entity_id": "(?=(' + _TEXT + r'*))\3")?(?:, "class": "(?=(' + _TEXT + r'*))\4")?'
-    r'(?:, "label": [01])?\}[ \t\n\r]*'
+    r'\{"model_id": "(' + _TEXT + r'++)", "ts": (?:0|[1-9][0-9]{0,17}+), '
+    r'"score": (-?+(?:0|[1-9][0-9]*+)(?:\.[0-9]++(?:[eE][+-]?+[0-9]++)?+|[eE][+-]?+[0-9]++))'
+    r'(?:, "entity_id": "(' + _TEXT + r'*+)")?+(?:, "class": "(' + _TEXT + r'*+)")?+'
+    r'(?:, "label": [01])?+\}[ \t\n\r]*+'
 ).fullmatch
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import PreconditionError
 from .ingest import ArrayFieldsEq, ScoreColumns
@@ -125,9 +124,11 @@ def smooth(rdc: Rdc, window: int = 5) -> SmoothedRdc:
     k = rdc.bin_count
     # per-window means (not a cumsum sweep): windows holding the same values
     # produce bit-identical heights, which mode plateaus rely on; sum / count
-    # is the reduction mean makes, without its wrapper
+    # is the reduction mean makes, without its wrapper, over the strides
+    # sliding_window_view gives, without its argument checks
     averaged = np.empty(k)
-    averaged[half : k - half] = sliding_window_view(freqs, window).sum(axis=1) / window
+    windows = np.ndarray((k - window + 1, window), freqs.dtype, freqs, strides=freqs.strides * 2)
+    averaged[half : k - half] = windows.sum(axis=1) / window
     for i in (*range(half), *range(k - half, k)):  # truncated windows at the edges
         lo, hi = max(i - half, 0), min(i + half + 1, k)
         averaged[i] = freqs[lo:hi].sum() / (hi - lo)
@@ -399,7 +400,7 @@ def group_by(columns: ScoreColumns, field: str) -> dict[str, np.ndarray]:
     missing = int((codes < 0).sum())
     if missing:
         raise PreconditionError(f"{missing} of {len(codes)} records have no {field.replace('_', ' ')}")
-    order = np.argsort(codes, kind="stable")
+    order = np.argsort(codes.astype(np.min_scalar_type(-len(keys))), kind="stable")  # narrow ints radix-sort
     bounds = np.searchsorted(codes[order], np.arange(len(keys) + 1)).tolist()
     return {key: order[lo:hi] for key, lo, hi in zip(keys, bounds, bounds[1:]) if hi > lo}
 

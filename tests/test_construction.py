@@ -404,6 +404,21 @@ class TestRankingAgainstReference:
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert (defined == want_defined).all()
 
+    def test_columnwise_auc_at_the_probe_shape_is_the_per_column_loop_bit_for_bit(self):
+        """One fold of the bias probe (400 test rows, 200 label columns) is past the property's 60 x 6 draws,
+        where numpy may sort with other kernels."""
+        rng = np.random.default_rng(0)
+        scores = rng.standard_normal((400, 200)).round(1).astype(np.float32)  # about 50 values: long ties
+        special = np.array([np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf, 0.0, -0.0, 1e-45, -1e-45], np.float32)
+        cells = rng.random(scores.shape) < 0.05
+        scores[cells] = rng.choice(special, cells.sum())
+        labels = (rng.random(scores.shape) < 0.3).astype(np.float32)
+        labels[:, 0], labels[:, 1] = 0.0, 1.0  # single-class columns
+        got, defined = _columnwise_auc(scores, labels)
+        want, want_defined = _reference_columnwise_auc(scores, labels)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert (defined == want_defined).all() and defined[2:].all() and not defined[:2].any()
+
     @given(_tied_matrices(max_cols=1))
     @settings(max_examples=300, deadline=None)
     def test_auc_is_the_rank_formula_bit_for_bit(self, drawn):

@@ -665,6 +665,52 @@ def test_every_odd_line_reads_as_parse_score_line_reads_it(tmp_path, rescale):
         _assert_reads_as_the_oracle(tmp_path / f"{i}.jsonl", b"\n".join([*writer, *group, *writer]), rescale, 1 << 20)
 
 
+# the layout pattern as Python 3.10 could spell it, each atomic part a capturing lookahead and its backreference
+_TEXT = r'[^"\\\x00-\x1f]'
+_LOOKAHEAD_LAYOUT = re.compile(
+    r'\{"model_id": "(?=(' + _TEXT + r'+))\1", "ts": (?:0|[1-9][0-9]{0,17}), '
+    r'"score": (?=(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+)))\2'
+    r'(?:, "entity_id": "(?=(' + _TEXT + r'*))\3")?(?:, "class": "(?=(' + _TEXT + r'*))\4")?'
+    r'(?:, "label": [01])?\}[ \t\n\r]*'
+).fullmatch
+
+
+def _writer_line(model_id, ts, score, entity_id, class_label, label):
+    """A line as write_score_log writes it, of fields it need not accept."""
+    obj = {"model_id": model_id, "ts": ts, "score": score}
+    obj.update((k, v) for k, v in [("entity_id", entity_id), ("class", class_label), ("label", label)] if v is not None)
+    return json.dumps(obj)
+
+
+_WRITER_LINES = st.builds(
+    _writer_line,
+    st.text("m1", min_size=1, max_size=3) | st.sampled_from(["", 'm"', "m\\", "m\x1f", "é"]),
+    st.integers(0, 10**17) | st.sampled_from([10**18 - 1, 10**18]),
+    st.floats(0, 1) | st.floats() | st.integers(-1, 2),
+    st.none() | st.text("e1", max_size=2),
+    st.none() | st.text("c", max_size=2),
+    st.none() | st.integers(0, 2),
+)
+
+
+@st.composite
+def _edited_writer_lines(draw):
+    """A writer line with 0-3 characters inserted, deleted or replaced."""
+    line = draw(_WRITER_LINES)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(line)))
+        cut = draw(st.integers(0, 1))
+        line = line[:at] + draw(st.sampled_from('0123456789.eE+-"\\{}:, \t\r\n\x01') | st.just("")) + line[at + cut :]
+    return line
+
+
+@given(_edited_writer_lines())
+@settings(max_examples=2000, deadline=None)
+def test_the_layout_pattern_matches_and_captures_as_its_lookahead_spelling(line):
+    got, want = ingest._CANONICAL(line), _LOOKAHEAD_LAYOUT(line)
+    assert (got and got.groups()) == (want and want.groups())
+
+
 # ---------------------------------------------------------------------------
 # the column path of read_paired against its csv_rows loop
 # ---------------------------------------------------------------------------

@@ -14,11 +14,13 @@ imports a private name from another package module: a private name is its
 module's own business. The config sections that ``cli._apply_section``
 accepts must be the sections its callers apply, so that no section is
 accepted and then used by no command. Last, the score-log layout pattern
-must compile on the oldest Python that ``pyproject.toml`` allows.
+must compile on the oldest Python that ``pyproject.toml`` allows: its
+possessive quantifiers need Python 3.11.
 """
 
 import ast
 import re
+import tomllib
 from pathlib import Path
 
 from scorescope import ingest
@@ -147,6 +149,18 @@ def config_sections(path: Path = SRC / "cli.py") -> tuple[set[str], set[str]]:
     return known, applied
 
 
+def python_floor(pyproject: Path = ROOT / "pyproject.toml") -> tuple[int, int]:
+    """The (major, minor) floor that ``requires-python`` sets, from a ``>=X.Y`` specifier."""
+    spec = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["requires-python"]
+    major, minor = re.fullmatch(r">=\s*(\d+)\.(\d+)", spec).groups()
+    return int(major), int(minor)
+
+
+def pattern_needs(pattern: str) -> tuple[int, int]:
+    """The oldest Python whose ``re`` compiles ``pattern``: possessive quantifiers and atomic groups came in 3.11."""
+    return (3, 11) if "(?>" in pattern or re.search(r"[*+?}]\+", pattern) else (3, 0)
+
+
 def test_no_unused_import_or_private_name():
     assert dead_code() == []
 
@@ -201,10 +215,14 @@ def test_the_check_finds_a_private_import(tmp_path):
 
 
 def test_the_layout_pattern_compiles_on_the_oldest_python_allowed():
-    """pyproject.toml allows Python 3.10, whose re has no possessive quantifiers and no atomic groups."""
-    pattern = ingest._CANONICAL.__self__.pattern
-    assert "(?>" not in pattern
-    assert re.search(r"[*+?}]\+", pattern) is None
+    assert python_floor() >= pattern_needs(ingest._CANONICAL.__self__.pattern)
+
+
+def test_the_check_finds_possessive_syntax_below_its_python(tmp_path):
+    (tmp_path / "pyproject.toml").write_text('[project]\nrequires-python = ">=3.10"\n', encoding="utf-8")
+    assert python_floor(tmp_path / "pyproject.toml") == (3, 10)
+    assert pattern_needs(ingest._CANONICAL.__self__.pattern) == (3, 11)
+    assert pattern_needs(r'"(?=([^"]+))\1"') < (3, 10) and pattern_needs(r"(?>a+)b") == (3, 11)
 
 
 def test_every_accepted_config_section_is_applied():
