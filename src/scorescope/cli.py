@@ -150,10 +150,10 @@ def cmd_rdc(args):
     dconf = _diagnosis_config(args, overrides)
     log = read_score_log(args.input, rescale=args.rescale)
     columns = log.columns
+    by_model = group_by(columns, "model_id")
     if args.model is not None:
-        wanted = columns.model_ids.index(args.model) if args.model in columns.model_ids else -1
-        columns = columns.take(columns.model == wanted)
-    if not len(columns):
+        by_model = {args.model: by_model[args.model]} if args.model in by_model else {}
+    if not by_model:
         raise PreconditionError("no score records to chart (check --model and the input log)")
 
     results: dict = {"models": {}, "skipped_lines": log.skipped}
@@ -170,7 +170,6 @@ def cmd_rdc(args):
         entry = {"n": rdc.n, "pattern": diag.pattern, "evidence": diag.evidence, "threshold_band": diag.threshold_band}
         return diag, entry
 
-    by_model = group_by(columns, "model_id")
     svg_targets: dict[Path, str] = {}  # charted model per chart file, named before any chart is built
     if args.svg:
         svg = Path(args.svg)

@@ -90,42 +90,36 @@ def _columnwise_auc(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray,
     n_neg = m - n_pos
     defined = (n_pos > 0) & (n_neg > 0)
     denom = np.where(defined, n_pos * n_neg, 1.0)
-    # 0-based ranks, ties averaged; every sum is exact, so both rankings give the same U
-    rank_sums = _tie_split_rank_sums(scores, labels) if scores.dtype == np.float32 else _rank_sums(scores, labels)
-    u = rank_sums - n_pos * (n_pos - 1) / 2.0
+    # 0-based ranks, ties averaged; every sum is exact in float64
+    u = _tie_split_rank_sums(scores, labels) - n_pos * (n_pos - 1) / 2.0
     return np.where(defined, u / denom, 0.5), defined
 
 
-def _rank_sums(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per column, the sum of the labels times their 0-based ranks, ties averaged, from a stable sort."""
-    m, c = scores.shape
-    order = np.argsort(scores, axis=0, kind="stable")
-    xs = np.take_along_axis(scores, order, axis=0)
-    row = np.arange(m)[:, None]
-    new_run = np.ones((m + 1, c), dtype=bool)  # row i starts a run of tied scores; row m ends the last
-    new_run[1:m] = xs[1:] != xs[:-1]
-    first = np.maximum.accumulate(np.where(new_run[:m], row, 0), axis=0)
-    last = np.minimum.accumulate(np.where(new_run[1:], row, m)[::-1], axis=0)[::-1]
-    ranks = first + (last - first) / 2.0  # in score order; the labels follow the scores into it
-    return (ranks * np.take_along_axis(labels, order, axis=0).astype(np.float64)).sum(axis=0)
-
-
 def _tie_split_rank_sums(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """``_rank_sums`` of float32 scores and 0/1 labels, from two plain sorts of packed keys.
+    """Per column, the sum of the 0/1 labels times their 0-based ranks, ties averaged, from two plain sorts.
 
-    A cell's key is its score's bits as an order-preserving int64 (-0.0 as
-    0.0, each NaN past +inf in row order, where a stable sort puts it),
-    shifted up one bit to hold its label. Sorted with negatives first within
-    a tie, a tie's positives take its last positions; sorted with positives
-    first, its first ones. The mean of the two position sums is the sum of
-    their averaged ranks.
+    A cell's key is an int64 in the order of its column's scores: a float32
+    score's bits as an order-preserving integer, any other score's dense
+    rank over the block. Either way -0.0 shares 0.0's key, and each NaN
+    gets a key of its own past the rest, in row order, where a stable sort
+    puts it. The key is shifted up one bit to hold the label. Sorted with
+    negatives first within a tie, a tie's positives take its last
+    positions; sorted with positives first, its first ones. The mean of the
+    two position sums is the sum of their averaged ranks.
     """
     m = len(scores)
-    key = np.add(scores.T, np.float32(0.0), order="C").view(np.int32).astype(np.int64)  # -0.0 + 0.0 is 0.0
-    nan = (key & 0x7FFFFFFF) > _INF_KEY  # magnitude bits past inf's
-    key ^= (key >> 31) & 0x7FFFFFFF  # a negative score's magnitude bits reversed, so larger is lower
+    if scores.dtype == np.float32:
+        key = np.add(scores.T, np.float32(0.0), order="C").view(np.int32).astype(np.int64)  # -0.0 + 0.0 is 0.0
+        nan = (key & 0x7FFFFFFF) > _INF_KEY  # magnitude bits past inf's
+        key ^= (key >> 31) & 0x7FFFFFFF  # a negative score's magnitude bits reversed, so larger is lower
+        past = _INF_KEY + 1
+    else:
+        distinct, key = np.unique(scores.T, return_inverse=True)  # -0.0 == 0.0; every NaN takes the last key
+        key = key.reshape(scores.T.shape)
+        nan = np.isnan(scores.T)
+        past = len(distinct)
     if nan.any():
-        key[nan] = _INF_KEY + 1 + nan.nonzero()[1]
+        key[nan] = past + nan.nonzero()[1]
     key <<= 1
     key |= labels.T.astype(np.int64)
     negatives_first = np.sort(key, axis=1) & 1

@@ -126,10 +126,10 @@ class ScoreColumns(ModelScores):
     """Score-log records as columns, in file order: the fields some caller reads.
 
     Model ids and class labels are codes into tables sorted by id. A line's
-    ``ts`` and ``label`` are validated but not kept.
+    ``entity_id``, ``ts`` and ``label`` are validated but not kept, so
+    ``entity_id`` is None.
     """
 
-    entity_id: np.ndarray  # (n,) object: str, or None where absent
     class_ids: tuple[str, ...]
     class_code: np.ndarray  # (n,) int32 codes into class_ids, -1 where absent
 
@@ -154,9 +154,7 @@ class ScoreColumns(ModelScores):
             lookups = [np.array([rank[v] for v in getattr(b, table)] + [-1], dtype=np.int32) for b in batches]
             coded[table] = ids
             coded[codes] = np.concatenate([lookup[getattr(b, codes)] for lookup, b in zip(lookups, batches)])
-        for name in ("score", "entity_id"):
-            coded[name] = np.concatenate([getattr(b, name) for b in batches])
-        return cls(**coded)
+        return cls(score=np.concatenate([b.score for b in batches]), entity_id=None, **coded)
 
     def take(self, rows) -> ScoreColumns:
         """The records at ``rows`` (indices or a boolean mask), under the same code tables."""
@@ -164,7 +162,6 @@ class ScoreColumns(ModelScores):
             self,
             model=self.model[rows],
             score=self.score[rows],
-            entity_id=self.entity_id[rows],
             class_code=self.class_code[rows],
         )
 
@@ -190,18 +187,11 @@ def model_scores(models: list, scores: list, entities: list | None = None) -> Mo
     return ModelScores(model_ids, model, np.array(scores, dtype=np.float64), entity_id)
 
 
-def _score_columns(models: list, scores: list, entities: list, classes: list) -> ScoreColumns:
-    """Columns of records given field by field, in order."""
+def _score_columns(models: list, scores: list, _entities: list, classes: list) -> ScoreColumns:
+    """Columns of records given field by field, in order; the entity ids are not kept."""
     model_ids, model = _encode(models)
     class_ids, class_code = _encode(classes)
-    return ScoreColumns(
-        model_ids,
-        model,
-        np.array(scores, dtype=np.float64),
-        np.array(entities, dtype=object),
-        class_ids,
-        class_code,
-    )
+    return ScoreColumns(model_ids, model, np.array(scores, dtype=np.float64), None, class_ids, class_code)
 
 
 @dataclass

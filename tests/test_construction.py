@@ -419,6 +419,24 @@ class TestRankingAgainstReference:
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert (defined == want_defined).all() and defined[2:].all() and not defined[:2].any()
 
+    @pytest.mark.parametrize("shape", [(2000, 1), (400, 3)])
+    def test_float64_columnwise_auc_at_scale_is_the_per_column_loop_bit_for_bit(self, shape):
+        """Float64 blocks past the property's float32-valued 60 x 6 draws: values that are equal in float32 but
+        not in float64 (1.0 and 1.0 + 2**-52, 5e-324 and 0.0), and sizes where numpy may sort with other kernels."""
+        rng = np.random.default_rng(28)
+        scores = rng.standard_normal(shape).round(1)  # about 50 values: long ties
+        special = np.array([np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf, 0.0, -0.0, 5e-324, 1.0, 1.0 + 2**-52])
+        cells = rng.random(shape) < 0.05
+        scores[cells] = rng.choice(special, cells.sum())
+        scores[: len(special)] = special[:, None]  # every column holds each one
+        labels = (rng.random(shape) < 0.3).astype(np.float64)
+        if shape[1] > 1:
+            labels[:, 0] = 1.0  # a single-class column
+        got, defined = _columnwise_auc(scores, labels)
+        want, want_defined = _reference_columnwise_auc(scores, labels)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert (defined == want_defined).all() and defined.sum() == min(shape[1], 2)
+
     @given(_tied_matrices(max_cols=1))
     @settings(max_examples=300, deadline=None)
     def test_auc_is_the_rank_formula_bit_for_bit(self, drawn):

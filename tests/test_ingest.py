@@ -144,6 +144,22 @@ class TestScoreLog:
         assert [line_no for line_no, _ in log.skipped_lines] == [21, 22]
         assert all(reason.startswith("invalid JSON: ") for _, reason in log.skipped_lines)
 
+    @pytest.mark.parametrize("value", [b"7", b"true", b'["e1"]', b'{"id": "e1"}'])
+    @pytest.mark.parametrize("field", ["entity_id", "class"])
+    def test_a_non_string_entity_or_class_is_skipped_with_its_reason(self, tmp_path, field, value):
+        reason = f"{field} must be a string"
+        good = [b'{"model_id": "m1", "ts": %d, "score": 0.5}' % i for i in range(20)]
+        bad = b'{"model_id": "m1", "ts": 20, "score": 0.5, "%s": %s}' % (field.encode(), value)
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(b"\n".join(good + [bad]) + b"\n")
+        log = read_score_log(path)
+        assert len(log) == 20 and log.skipped_lines == [(21, reason)]
+        skipped = []
+        (columns,) = ingest.parse_score_lines([good + [bad]], skipped, out_of_range="skip")
+        assert len(columns) == 20 and skipped == [(21, reason)]
+        with pytest.raises(_MalformedLine, match=f"^{reason}$"):
+            parse_score_line(bad.decode())
+
     def test_timestamp_past_int64_still_reads(self, tmp_path):
         lines = ['{"model_id":"m1","ts":%d,"score":0.5}' % ts for ts in (0, 2**63, 10**30)]
         log = read_score_log(write_lines(tmp_path / "log.jsonl", lines))
@@ -161,7 +177,7 @@ class TestScoreLog:
         assert (columns.class_ids, columns.class_code.tolist()) == (("a", "b"), [1, -1, 0])
         assert columns.model.dtype == columns.class_code.dtype == np.int32
         assert columns.score.dtype == np.float64
-        assert columns.entity_id.tolist() == [None, "e1", None]
+        assert columns.entity_id is None  # validated, not kept
         expected = [
             ScoreRecord("m2", 0, 0.25, None, "b", 1),
             ScoreRecord("m1", 1, 0.5, "e1"),
@@ -195,7 +211,7 @@ class TestScoreLog:
         assert malformed == []
         assert [columns.model_ids[i] for i in columns.model] == ["m0", "m9", "m1", "m0", "m0", "m\u00e9", "m1"]
         assert columns.score.tolist() == [0.0, 1.0, 0.1, 0.5, 0.2, 0.0, 0.3]
-        assert columns.entity_id.tolist() == ["e0", None, "e1", None, "e2", 'e"q', "e3"]
+        assert columns.entity_id is None
         classes = [columns.class_ids[i] if i >= 0 else None for i in columns.class_code]
         assert classes == [None, "c1", None, None, None, "c\n", None]
 

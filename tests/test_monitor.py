@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from generators import bimodal_scores, central_scores, score_records, spike_scores
 from scorescope import ingest
 from scorescope.errors import PreconditionError
-from scorescope.ingest import ModelScores, ScoreColumns, ScoreRecord, write_score_log
+from scorescope.ingest import ModelScores, ScoreColumns, ScoreRecord, model_scores, write_score_log
 from scorescope.monitor import (
     AlertKind,
     MonitorConfig,
@@ -267,7 +267,7 @@ class TestOverrides:
 
     def test_entity_rule(self):
         records = [ScoreRecord("m1", 0, 0.4, entity_id="e1"), ScoreRecord("m1", 1, 0.4, entity_id="e2")]
-        out, n = apply_overrides(ScoreColumns.from_records(records), [OverrideRule(1.0, entity_id="e1")])
+        out, n = apply_overrides(_with_entities(records), [OverrideRule(1.0, entity_id="e1")])
         assert out.score.tolist() == [1.0, 0.4] and n == 1
 
     def test_rule_requires_a_predicate(self):
@@ -287,6 +287,11 @@ class TestOverrides:
         assert out.score.tolist() == [0.7 if r.model_id == "m2" else r.score for r in records]
         assert [out.model_ids[code] for code in out.model.tolist()] == [r.model_id for r in records]
         assert n == sum(1 for r in records if r.model_id == "m2")
+
+
+def _with_entities(records):
+    """The records' columns with their entity ids, as ``watch`` reads a batch when a rule names an entity."""
+    return model_scores([r.model_id for r in records], [r.score for r in records], [r.entity_id for r in records])
 
 
 def _first_match(records, rules):
@@ -327,7 +332,7 @@ def test_override_masks_match_the_first_match_per_record(data, models):
     )
     records = data.draw(st.lists(record, max_size=40))
     rules = data.draw(st.lists(_RULES, max_size=4))
-    columns = ScoreColumns.from_records(records)
+    columns = _with_entities(records)
     out, n = apply_overrides(columns, rules)
     expected, expected_n = _first_match(records, rules)
     assert out.score.tobytes() == ScoreColumns.from_records(expected).score.tobytes()  # -0.0 and every bit
