@@ -419,8 +419,8 @@ def _emit_alert(alert) -> None:
 def cmd_watch(args):
     overrides = _load_overrides(args.config)
     dconf = _diagnosis_config(args, overrides)
-    mconf = MonitorConfig(window_size=args.window, tv_threshold=args.tv_threshold, diagnosis=dconf)
-    mconf = _apply_section(mconf, "monitor", overrides)
+    flags = dict(window_size=args.window, tv_threshold=args.tv_threshold, diagnosis=dconf)
+    mconf = _apply_section(MonitorConfig(), "monitor", overrides, **flags)
     rules = [_parse_override(rule) for rule in args.override or []]
     summary = watch(
         args.input,

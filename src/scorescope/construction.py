@@ -166,7 +166,7 @@ def _bound_step(xb: np.ndarray) -> np.ndarray:
     return ((vecs[:, kept] * (4.0 / vals[kept])) @ vecs[:, kept].T).astype(xb.dtype)
 
 
-def _fit_logistic(xb: np.ndarray, ys: np.ndarray, tol: float = _TOL) -> tuple[np.ndarray, np.ndarray]:
+def _fit_logistic(xb: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full-batch log-loss fits, one model per label column, each update ``w -= _bound_step(xb) @ g``.
 
     ``xb`` is a design matrix from ``_with_ones`` (the last weight is the
@@ -174,9 +174,9 @@ def _fit_logistic(xb: np.ndarray, ys: np.ndarray, tol: float = _TOL) -> tuple[np
     zero and training runs in the dtype of the inputs with preallocated
     buffers: float32 for the bias probe's hundreds of permutation refits,
     float64 for a single model. A column stops before the first update at
-    which its gradient's largest entry is below ``tol`` times the row count,
+    which its gradient's largest entry is below ``_TOL`` times the row count,
     and leaves the batch; the others run on, to ``_MAX_EPOCHS`` at most. With
-    ``tol`` 0 no column stops early. Returns the weight matrix, one column
+    ``_TOL`` 0 no column stops early. Returns the weight matrix, one column
     per label column, and the number of updates each column ran.
     """
     n, c = ys.shape
@@ -190,7 +190,7 @@ def _fit_logistic(xb: np.ndarray, ys: np.ndarray, tol: float = _TOL) -> tuple[np
     half = xb * 0.5  # exact for normal floats: halving only lowers the exponent
     const = xb.T @ np.subtract(0.5, ys, out=z)  # z is free until the loop
     step = _bound_step(xb)
-    limit = tol * n
+    limit = _TOL * n
     live = np.arange(c)  # the batch's columns, as columns of ``ys``
     for epoch in range(_MAX_EPOCHS):
         np.matmul(half, w, out=z)

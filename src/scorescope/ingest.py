@@ -105,41 +105,29 @@ class TabularDataset(ArrayFieldsEq):
 
 
 @dataclass(frozen=True, eq=False)
-class ModelScores(ArrayFieldsEq):
-    """Score-log records' model codes and scores, in file order, and their
-    entity ids when they were built: the columns ``watch`` reads.
+class ScoreColumns(ArrayFieldsEq):
+    """Score-log records as columns, in file order: the fields some caller reads.
 
-    Model ids are codes into a table sorted by id.
+    Model ids and class labels are codes into tables sorted by id. A line's
+    ``entity_id``, ``ts`` and ``label`` are validated but not kept.
     """
 
     model_ids: tuple[str, ...]
     model: np.ndarray  # (n,) int32 codes into model_ids
     score: np.ndarray  # (n,) float64
-    entity_id: np.ndarray | None  # (n,) object: str, or None where absent; None when not built
+    class_ids: tuple[str, ...]
+    class_code: np.ndarray  # (n,) int32 codes into class_ids, -1 where absent
 
     def __len__(self) -> int:
         return len(self.score)
 
-
-@dataclass(frozen=True, eq=False)
-class ScoreColumns(ModelScores):
-    """Score-log records as columns, in file order: the fields some caller reads.
-
-    Model ids and class labels are codes into tables sorted by id. A line's
-    ``entity_id``, ``ts`` and ``label`` are validated but not kept, so
-    ``entity_id`` is None.
-    """
-
-    class_ids: tuple[str, ...]
-    class_code: np.ndarray  # (n,) int32 codes into class_ids, -1 where absent
-
     @classmethod
     def from_records(cls, records: Iterable[ScoreRecord]) -> ScoreColumns:
         """The records as columns, in order."""
-        columns = [], [], [], []
+        models, scores, _, classes = columns = [], [], [], []
         for r in records:
             _append_record(columns, r)
-        return _score_columns(*columns)
+        return _score_columns(models, scores, classes)
 
     @classmethod
     def concat(cls, batches: Sequence[ScoreColumns]) -> ScoreColumns:
@@ -154,7 +142,7 @@ class ScoreColumns(ModelScores):
             lookups = [np.array([rank[v] for v in getattr(b, table)] + [-1], dtype=np.int32) for b in batches]
             coded[table] = ids
             coded[codes] = np.concatenate([lookup[getattr(b, codes)] for lookup, b in zip(lookups, batches)])
-        return cls(score=np.concatenate([b.score for b in batches]), entity_id=None, **coded)
+        return cls(score=np.concatenate([b.score for b in batches]), **coded)
 
     def take(self, rows) -> ScoreColumns:
         """The records at ``rows`` (indices or a boolean mask), under the same code tables."""
@@ -167,7 +155,7 @@ class ScoreColumns(ModelScores):
 
 
 def _append_record(columns: tuple[list, list, list, list], r: ScoreRecord) -> None:
-    """Append ``r``'s kept fields to the ``_score_columns`` lists."""
+    """Append ``r``'s model id, score, entity id and class label to four lists."""
     for column, value in zip(columns, (r.model_id, r.score, r.entity_id, r.class_label)):
         column.append(value)
 
@@ -180,18 +168,11 @@ def _encode(values: Sequence) -> tuple[tuple[str, ...], np.ndarray]:
     return table, np.fromiter(map(rank.__getitem__, values), dtype=np.int32, count=len(values))
 
 
-def model_scores(models: list, scores: list, entities: list | None = None) -> ModelScores:
-    """Model codes and scores of records given field by field, in order; entity ids only when given."""
-    model_ids, model = _encode(models)
-    entity_id = None if entities is None else np.array(entities, dtype=object)
-    return ModelScores(model_ids, model, np.array(scores, dtype=np.float64), entity_id)
-
-
-def _score_columns(models: list, scores: list, _entities: list, classes: list) -> ScoreColumns:
-    """Columns of records given field by field, in order; the entity ids are not kept."""
+def _score_columns(models: list, scores: list, classes: list) -> ScoreColumns:
+    """Columns of records given field by field, in order."""
     model_ids, model = _encode(models)
     class_ids, class_code = _encode(classes)
-    return ScoreColumns(model_ids, model, np.array(scores, dtype=np.float64), None, class_ids, class_code)
+    return ScoreColumns(model_ids, model, np.array(scores, dtype=np.float64), class_ids, class_code)
 
 
 @dataclass
@@ -328,14 +309,10 @@ def parse_score_lines(
     malformed: list[tuple[int, str]],
     *,
     out_of_range: Literal["raise", "keep", "skip"] = "raise",
-    build: Callable[[list, list, list, list], _T] = _score_columns,
-) -> Iterator[_T]:
-    """Parse batches of raw score-log lines into columns, one per batch,
-    numbering lines from 1 across batches.
-
-    Each batch's kept lines go to ``build`` as four lists in file order
-    (model ids, scores, entity ids, class labels), and what it returns is
-    yielded: by default the batch's ``ScoreColumns``.
+) -> Iterator[tuple[list[str], list[float], list[str | None], list[str | None]]]:
+    """Parse batches of raw score-log lines, numbering lines from 1 across
+    batches, and yield each batch's kept lines as four lists in file order:
+    model ids, scores, entity ids and class labels (None where absent).
 
     Blank lines are passed over; a line that is not UTF-8 or fails
     validation is skipped and appends ``(line_no, reason)`` to
@@ -345,11 +322,11 @@ def parse_score_lines(
     ``parse_score_line`` defines a valid line. A line is decoded as strict
     UTF-8 and read by the first of three tiers that takes it. A line in
     ``write_score_log``'s layout (``_CANONICAL``) with its score in range
-    goes straight into the columns. Else json.loads's own scanner reads it,
+    goes straight into the lists. Else json.loads's own scanner reads it,
     and a line that is one JSON object whose fields ``parse_score_line``
     takes as they are (str model_id, int ts, float score in range, str or
     absent entity and class, int 0/1 or absent label) goes into the
-    columns too. Every other line goes to ``parse_score_line`` for its
+    lists too. Every other line goes to ``parse_score_line`` for its
     record, reason or error. The first line of a batch that the scanner
     takes turns the layout pattern off for the rest of that batch, so a
     log in another layout is not matched twice.
@@ -407,7 +384,7 @@ def parse_score_lines(
                 if out_of_range == "raise" and isinstance(exc, _OutOfRange):
                     raise InputError(f"line {line_no}: {exc} (use rescale to min-max rescale the file)") from None
                 malformed.append((line_no, str(exc)))
-        yield build(*columns)
+        yield columns
 
 
 def read_score_log(path: str | Path, *, rescale: bool = False) -> ScoreLog:
@@ -423,7 +400,7 @@ def read_score_log(path: str | Path, *, rescale: bool = False) -> ScoreLog:
     path = Path(path)
     skipped: list[tuple[int, str]] = []
     batches = parse_score_lines(read_log_lines(path), skipped, out_of_range="keep" if rescale else "raise")
-    columns = ScoreColumns.concat(list(batches))
+    columns = ScoreColumns.concat([_score_columns(models, scores, classes) for models, scores, _, classes in batches])
     total = len(columns) + len(skipped)
     if len(skipped) > 1 and len(skipped) / total > MALFORMED_LINE_LIMIT:
         raise InputError(

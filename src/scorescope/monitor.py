@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import PreconditionError
-from .ingest import ModelScores, ScoreRecord, model_scores, parse_score_lines, read_log_lines, read_score_log
+from .ingest import ScoreRecord, parse_score_lines, read_log_lines, read_score_log
 from .rdc import DEFAULT_DIAGNOSIS, DiagnosisConfig, Rdc, RdcDiagnosis, RdcPattern, build_rdc, charts_by, diagnose
 from .rdc import diagnose_or_skip, rdc_distance
 
@@ -167,25 +167,29 @@ class OverrideRule:
             raise PreconditionError("a rule must match on model_id or entity_id")
 
 
-def apply_overrides(columns: ModelScores, rules: Sequence[OverrideRule]) -> tuple[ModelScores, int]:
+def apply_overrides(
+    models: Sequence[str], scores: Sequence[float], entities: Sequence[str | None], rules: Sequence[OverrideRule]
+) -> tuple[list[float], int]:
     """Force each record's score to that of the first rule it matches.
 
-    Returns the columns with the forced scores (every other column as it
-    was, of the same type) and how many records were overridden. Entity ids
-    are read only for a rule that names an entity.
+    The records are given field by field, in order. Returns a copy of
+    ``scores`` with the forced ones in place, and how many records were
+    overridden. Entity ids are read only when a rule names an entity.
     """
-    score = columns.score.copy()
-    free = np.ones(len(columns), dtype=bool)  # records no earlier rule matched
+    scores = list(scores)
+    free = np.ones(len(scores), dtype=bool)  # records no earlier rule matched
+    model = np.array(models, dtype=object)
+    entity = np.array(entities, dtype=object) if any(rule.entity_id is not None for rule in rules) else None
     for rule in rules:
         hit = free.copy()
         if rule.model_id is not None:
-            ids = columns.model_ids
-            hit &= columns.model == (ids.index(rule.model_id) if rule.model_id in ids else -1)  # codes are >= 0
+            hit &= model == rule.model_id
         if rule.entity_id is not None:
-            hit &= columns.entity_id == rule.entity_id
-        score[hit] = rule.forced_score
+            hit &= entity == rule.entity_id
+        for i in np.flatnonzero(hit).tolist():
+            scores[i] = rule.forced_score
         free &= ~hit
-    return replace(columns, score=score), len(columns) - int(free.sum())
+    return scores, len(scores) - int(free.sum())
 
 
 @dataclass
@@ -251,22 +255,15 @@ def watch(
             summary.alert_count += 1
             on_alert(alert)
 
-    named = any(rule.entity_id is not None for rule in rules)
-
-    def columns(models: list, scores: list, entities: list, _classes: list) -> ModelScores:
-        # what a tailed batch is read for: no class column, and entity ids only for a rule that names one
-        return model_scores(models, scores, entities if named else None)
-
     lines = read_log_lines(path, follow=follow, poll_interval=poll_interval)
-    for batch in parse_score_lines(lines, malformed, out_of_range="skip", build=columns):
+    for models, scores, entities, _ in parse_score_lines(lines, malformed, out_of_range="skip"):
         summary.malformed_lines += len(malformed)
         malformed.clear()
         if rules:
-            batch, overridden = apply_overrides(batch, rules)
+            scores, overridden = apply_overrides(models, scores, entities, rules)
             summary.overridden += overridden
-        names = batch.model_ids
-        for code, score in zip(batch.model.tolist(), batch.score.tolist()):
-            for result in monitor.feed(names[code], score):
+        for model_id, score in zip(models, scores):
+            for result in monitor.feed(model_id, score):
                 handle(result)
     for result in monitor.finish():
         handle(result)

@@ -935,6 +935,27 @@ def test_bins_below_the_default_window_run_with_a_config_window_that_fits(tmp_pa
     assert (code, err) == (0, "") and decisions.get("diagnosis", decisions)["bins"] == 3  # watch nests it
 
 
+@pytest.mark.parametrize(
+    "flags, config, err, decided",
+    [
+        (["--window", "50"], {"monitor": {"window_size": 500}}, "", {"window_size": 500}),
+        (["--tv-threshold", "2"], {"monitor": {"tv_threshold": 0.1}}, "", {"tv_threshold": 0.1}),
+        (["--window", "5000"], {"diagnosis": {"min_samples": 2000}}, "", {"window_size": 5000}),
+        (["--window", "50"], {}, "error: window_size must be >= 100\n", None),
+        (["--tv-threshold", "2"], {}, "error: tv_threshold must lie in [0, 1]\n", None),
+    ],
+    ids=["config-window", "config-tv-threshold", "window-above-min-samples", "small-window", "large-tv-threshold"],
+)
+def test_watch_checks_its_flags_after_the_config_overrides_them(tmp_path, capsys, bimodal_log, flags, config, err, decided):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    report = tmp_path / "r.json"
+    argv = ["watch", "--input", bimodal_log, "--once", "--config", str(path), "--output", str(report), *flags]
+    assert run(argv, capsys)[::2] == (2 if err else 0, err)
+    if decided:
+        assert json.loads(report.read_text())["decisions"].items() >= decided.items()
+
+
 class TestReportEnvelope:
     def test_inputs_carry_digests(self, bimodal_log, capsys):
         _, out, _ = run(["rdc", "--input", bimodal_log], capsys)

@@ -191,30 +191,33 @@ def _probe_batch(make, n):
 class TestEngineAgainstReference:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("make", [separable_dataset, null_dataset])
-    def test_float64_single_column(self, make, seed):
+    def test_float64_single_column(self, make, seed, monkeypatch):
+        monkeypatch.setattr(construction, "_TOL", 0)
         ds = make(200, seed=seed)
         xb = _with_ones(_standardize(ds.rows)[0], np.float64)
         ys = ds.target[:, None].astype(np.float64)
-        got, _ = _fit_logistic(xb, ys, tol=0)
+        got, _ = _fit_logistic(xb, ys)
         assert got.dtype == np.float64
         assert np.abs(got - _reference_fit(xb, ys, _pinv_step(xb))).max() <= 1e-12
 
-    def test_float32_permuted_label_batch(self):
+    def test_float32_permuted_label_batch(self, monkeypatch):
+        monkeypatch.setattr(construction, "_TOL", 0)
         xb, ys = _probe_batch(median_split_availability, 400)
-        got, _ = _fit_logistic(xb, ys, tol=0)
+        got, _ = _fit_logistic(xb, ys)
         assert got.dtype == np.float32 and got.shape == (3, 201)
         assert np.abs(got - _reference_fit(xb, ys, _pinv_step(xb))).max() <= 1e-5
 
 
 class TestEarlyStop:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_tol_zero_is_the_fixed_epoch_loop_bit_for_bit(self, dtype):
+    def test_tol_zero_is_the_fixed_epoch_loop_bit_for_bit(self, dtype, monkeypatch):
+        monkeypatch.setattr(construction, "_TOL", 0)
         if dtype is np.float32:
             xb, ys = _probe_batch(independent_availability, 600)
         else:
             ds = null_dataset(200, seed=0)
             xb, ys = _with_ones(_standardize(ds.rows)[0], dtype), ds.target[:, None].astype(dtype)
-        got, ran = _fit_logistic(xb, ys, tol=0)
+        got, ran = _fit_logistic(xb, ys)
         want = _fixed_epoch_fit(xb, ys, construction._bound_step(xb))[0]
         assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
         assert (ran == construction._MAX_EPOCHS).all()
@@ -272,9 +275,10 @@ class TestBoundStep:
         xb, ys = design
         losses = [_log_loss(xb, ys, np.zeros((xb.shape[1], 1)))]
         with pytest.MonkeyPatch.context() as mp:  # the monkeypatch fixture is not undone between Hypothesis examples
+            mp.setattr(construction, "_TOL", 0)
             for epochs in range(1, 13):  # a fit of k + 1 updates makes the k updates of a fit of k first
                 mp.setattr(construction, "_MAX_EPOCHS", epochs)
-                w, ran = _fit_logistic(xb, ys, tol=0)
+                w, ran = _fit_logistic(xb, ys)
                 assert ran[0] == epochs
                 losses.append(_log_loss(xb, ys, w))
         assert all(after <= before * (1 + 1e-12) for before, after in zip(losses, losses[1:]))

@@ -155,8 +155,8 @@ class TestScoreLog:
         log = read_score_log(path)
         assert len(log) == 20 and log.skipped_lines == [(21, reason)]
         skipped = []
-        (columns,) = ingest.parse_score_lines([good + [bad]], skipped, out_of_range="skip")
-        assert len(columns) == 20 and skipped == [(21, reason)]
+        ((models, scores, entities, classes),) = ingest.parse_score_lines([good + [bad]], skipped, out_of_range="skip")
+        assert len(models) == len(scores) == len(entities) == len(classes) == 20 and skipped == [(21, reason)]
         with pytest.raises(_MalformedLine, match=f"^{reason}$"):
             parse_score_line(bad.decode())
 
@@ -177,7 +177,8 @@ class TestScoreLog:
         assert (columns.class_ids, columns.class_code.tolist()) == (("a", "b"), [1, -1, 0])
         assert columns.model.dtype == columns.class_code.dtype == np.int32
         assert columns.score.dtype == np.float64
-        assert columns.entity_id is None  # validated, not kept
+        # entity_id, ts and label are validated, not kept
+        assert [f.name for f in fields(columns)] == ["model_ids", "model", "score", "class_ids", "class_code"]
         expected = [
             ScoreRecord("m2", 0, 0.25, None, "b", 1),
             ScoreRecord("m1", 1, 0.5, "e1"),
@@ -206,13 +207,12 @@ class TestScoreLog:
         batch = [fast[0], slow[0], fast[1], slow[1], fast[2], slow[2], fast[3]]
         malformed = []
         with mock.patch.object(ingest, "parse_score_line", wraps=parse_score_line) as slow_parse:
-            (columns,) = ingest.parse_score_lines([batch], malformed)
+            ((models, scores, entities, classes),) = ingest.parse_score_lines([batch], malformed)
         assert [c.args[0] for c in slow_parse.call_args_list] == [line.decode() for line in slow]
         assert malformed == []
-        assert [columns.model_ids[i] for i in columns.model] == ["m0", "m9", "m1", "m0", "m0", "m\u00e9", "m1"]
-        assert columns.score.tolist() == [0.0, 1.0, 0.1, 0.5, 0.2, 0.0, 0.3]
-        assert columns.entity_id is None
-        classes = [columns.class_ids[i] if i >= 0 else None for i in columns.class_code]
+        assert models == ["m0", "m9", "m1", "m0", "m0", "m\u00e9", "m1"]
+        assert scores == [0.0, 1.0, 0.1, 0.5, 0.2, 0.0, 0.3] and all(type(s) is float for s in scores)
+        assert entities == ["e0", None, "e1", None, "e2", 'e"q', "e3"]
         assert classes == [None, "c1", None, None, None, "c\n", None]
 
     def test_the_writer_layout_is_read_without_the_scanner(self, tmp_path):
@@ -235,12 +235,12 @@ class TestScoreLog:
         batches = [[writer, malformed, writer, shuffled, writer, writer], [writer, writer]]
         skipped = []
         with mock.patch.object(ingest, "_CANONICAL", wraps=ingest._CANONICAL) as pattern:
-            first, second = ingest.parse_score_lines(batches, skipped)
+            (_, first, _, _), (_, second, _, _) = ingest.parse_score_lines(batches, skipped)
         # a malformed line fails both tiers and leaves the pattern on; the next batch starts with it on
         assert [c.args[0] for c in pattern.call_args_list] == [
             line.decode() for line in [writer, malformed, writer, shuffled, writer, writer]
         ]
-        assert first.score.tolist() == [0.5, 0.5, 0.25, 0.5, 0.5] and len(second) == 2
+        assert first == [0.5, 0.5, 0.25, 0.5, 0.5] and len(second) == 2
         assert [line_no for line_no, _ in skipped] == [2]
 
     def test_take_keeps_the_code_tables(self, tmp_path):

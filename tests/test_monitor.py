@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from generators import bimodal_scores, central_scores, score_records, spike_scores
 from scorescope import ingest
 from scorescope.errors import PreconditionError
-from scorescope.ingest import ModelScores, ScoreColumns, ScoreRecord, model_scores, write_score_log
+from scorescope.ingest import ScoreRecord, write_score_log
 from scorescope.monitor import (
     AlertKind,
     MonitorConfig,
@@ -226,20 +226,16 @@ class TestWatch:
         assert summaries[0].malformed_lines == summaries[1].malformed_lines == 40
         assert summaries[0] == summaries[1]
 
-    @pytest.mark.parametrize("rule", [OverrideRule(0.5, model_id="m1"), OverrideRule(0.5, entity_id="e1")])
-    def test_a_tailed_batch_has_no_class_column_and_entity_ids_only_for_a_rule_naming_one(self, tmp_path, rule):
+    @pytest.mark.parametrize("rules", [[], [OverrideRule(0.5, model_id="m1")], [OverrideRule(0.5, entity_id="e1")]])
+    def test_the_tail_is_fed_as_parsed_without_building_columns(self, tmp_path, rules):
         path = tmp_path / "log.jsonl"
         write_score_log(score_records(bimodal_scores(300, 13), entity_id="e1", class_label="c1"), path)
-        batches = []
-
-        def recorded(batch, rules):
-            batches.append(batch)
-            return apply_overrides(batch, rules)
-
-        with mock.patch("scorescope.monitor.apply_overrides", recorded):
-            summary = watch(path, MonitorConfig(window_size=100), lambda alert: None, rules=[rule])
-        assert summary.overridden == 300 and [type(batch) for batch in batches] == [ModelScores]
-        assert (batches[0].entity_id is None) == (rule.entity_id is None)
+        with path.open("ab") as fh:  # a non-string entity_id or class is still a malformed line
+            fh.write(b'{"model_id": "m1", "ts": 300, "score": 0.5, "entity_id": 7}\n')
+            fh.write(b'{"model_id": "m1", "ts": 301, "score": 0.5, "class": ["c1"]}\n')
+        with mock.patch.object(ingest, "_score_columns", side_effect=AssertionError("the tail built columns")):
+            summary = watch(path, MonitorConfig(window_size=100), lambda alert: None, rules=rules)
+        assert (summary.windows, summary.malformed_lines, summary.overridden) == (3, 2, 300 if rules else 0)
 
 
 def _dummy_diag():
@@ -248,27 +244,24 @@ def _dummy_diag():
 
 class TestOverrides:
     def test_empty_rule_list_is_identity(self):
-        columns = ScoreColumns.from_records(score_records([0.1, 0.2, 0.3]))
-        out, n = apply_overrides(columns, [])
-        assert out == columns and n == 0
+        out, n = apply_overrides(*_fields(score_records([0.1, 0.2, 0.3])), [])
+        assert out == [0.1, 0.2, 0.3] and n == 0
 
     def test_model_rule_rewrites_scores(self):
-        columns = ScoreColumns.from_records(score_records([0.1, 0.2], model_id="m1") + score_records([0.3], model_id="m2"))
-        rule = OverrideRule(0.99, model_id="m1")
-        out, n = apply_overrides(columns, [rule])
-        assert out.score.tolist() == [0.99, 0.99, 0.3]
+        records = score_records([0.1, 0.2], model_id="m1") + score_records([0.3], model_id="m2")
+        out, n = apply_overrides(*_fields(records), [OverrideRule(0.99, model_id="m1")])
+        assert out == [0.99, 0.99, 0.3]
         assert n == 2
 
     def test_first_matching_rule_wins(self):
-        columns = ScoreColumns.from_records(score_records([0.5], model_id="m1"))
         rules = [OverrideRule(0.2, model_id="m1"), OverrideRule(0.8, model_id="m1")]
-        out, _ = apply_overrides(columns, rules)
-        assert out.score[0] == 0.2
+        out, _ = apply_overrides(*_fields(score_records([0.5], model_id="m1")), rules)
+        assert out == [0.2]
 
     def test_entity_rule(self):
         records = [ScoreRecord("m1", 0, 0.4, entity_id="e1"), ScoreRecord("m1", 1, 0.4, entity_id="e2")]
-        out, n = apply_overrides(_with_entities(records), [OverrideRule(1.0, entity_id="e1")])
-        assert out.score.tolist() == [1.0, 0.4] and n == 1
+        out, n = apply_overrides(*_fields(records), [OverrideRule(1.0, entity_id="e1")])
+        assert out == [1.0, 0.4] and n == 1
 
     def test_rule_requires_a_predicate(self):
         with pytest.raises(PreconditionError):
@@ -282,16 +275,14 @@ class TestOverrides:
     @settings(max_examples=40)
     def test_never_changes_count_or_order(self, rows):
         records = [ScoreRecord(m, i, s) for i, (m, s) in enumerate(rows)]
-        out, n = apply_overrides(ScoreColumns.from_records(records), [OverrideRule(0.7, model_id="m2")])
-        assert len(out) == len(records)
-        assert out.score.tolist() == [0.7 if r.model_id == "m2" else r.score for r in records]
-        assert [out.model_ids[code] for code in out.model.tolist()] == [r.model_id for r in records]
+        out, n = apply_overrides(*_fields(records), [OverrideRule(0.7, model_id="m2")])
+        assert out == [0.7 if r.model_id == "m2" else r.score for r in records]
         assert n == sum(1 for r in records if r.model_id == "m2")
 
 
-def _with_entities(records):
-    """The records' columns with their entity ids, as ``watch`` reads a batch when a rule names an entity."""
-    return model_scores([r.model_id for r in records], [r.score for r in records], [r.entity_id for r in records])
+def _fields(records):
+    """The records' model ids, scores and entity ids, as ``watch`` gives a parsed batch to ``apply_overrides``."""
+    return [r.model_id for r in records], [r.score for r in records], [r.entity_id for r in records]
 
 
 def _first_match(records, rules):
@@ -332,9 +323,9 @@ def test_override_masks_match_the_first_match_per_record(data, models):
     )
     records = data.draw(st.lists(record, max_size=40))
     rules = data.draw(st.lists(_RULES, max_size=4))
-    columns = _with_entities(records)
-    out, n = apply_overrides(columns, rules)
+    batch = _fields(records)
+    out, n = apply_overrides(*batch, rules)
     expected, expected_n = _first_match(records, rules)
-    assert out.score.tobytes() == ScoreColumns.from_records(expected).score.tobytes()  # -0.0 and every bit
-    assert n == expected_n
-    assert replace(out, score=columns.score) == columns  # every other column as it was
+    assert np.array(out).tobytes() == np.array([r.score for r in expected]).tobytes()  # -0.0 and every bit
+    assert all(type(score) is float for score in out) and n == expected_n
+    assert batch == _fields(records)  # the input lists as they were
