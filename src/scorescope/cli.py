@@ -394,11 +394,15 @@ def _parse_override(raw: str) -> OverrideRule:
     for piece in raw.split(":"):
         if "=" not in piece:
             raise InputError(f"override piece {piece!r} must be key=value")
-        key, _, value = piece.partition("=")
-        parts[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in piece.partition("="))
+        if key in parts:
+            raise InputError(f"override {raw!r} gives {key}= twice")
+        parts[key] = value
     unknown = set(parts) - {"model", "entity", "score"}
     if unknown or "score" not in parts:
         raise InputError(f"override {raw!r} must use model=/entity=/score= with score required")
+    if parts.get("model") == "":  # no valid line has an empty model id; an empty entity id is valid
+        raise InputError(f"override {raw!r} has an empty model id")
     try:
         score = float(parts["score"])
     except ValueError as exc:

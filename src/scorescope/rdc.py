@@ -11,8 +11,8 @@ with the measurements that triggered the call.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -28,40 +28,55 @@ class RdcPattern(enum.Enum):
     INDETERMINATE = "INDETERMINATE"
 
 
+@functools.lru_cache(maxsize=16)  # a run charts at one or two bin counts; a sweep over many keeps the last few
+def _grid(bin_count: int) -> np.ndarray:
+    """The ``bin_count + 1`` ascending edges of equal-width bins over [0, 1], shared and read-only."""
+    edges = np.linspace(0.0, 1.0, bin_count + 1)
+    edges.flags.writeable = False
+    return edges
+
+
 @dataclass(frozen=True, eq=False)
 class Rdc(ArrayFieldsEq):
-    """Histogram of model scores over [0, 1]."""
+    """Histogram of model scores over equal-width bins of [0, 1]: its per-bin counts.
 
-    edges: np.ndarray  # bin_count + 1 ascending edges, edges[0] = 0, edges[-1] = 1
+    The edges and the sample count follow from the counts, so a chart holds
+    nothing else.
+    """
+
     counts: np.ndarray  # bin_count non-negative int64
-    n: int
+
+    def __post_init__(self) -> None:
+        counts = np.asarray(self.counts, dtype=np.int64)
+        if counts.ndim != 1 or len(counts) < 2:
+            raise PreconditionError("counts must be a vector of at least 2 bins")
+        if (counts < 0).any():
+            raise PreconditionError("counts must be non-negative")
+        object.__setattr__(self, "counts", counts)
+        if self.n == 0:
+            raise PreconditionError("histogram must contain at least one sample")
+
+    @functools.cached_property
+    def n(self) -> int:
+        return int(self.counts.sum())
 
     @property
     def bin_count(self) -> int:
         return len(self.counts)
 
     @property
+    def edges(self) -> np.ndarray:
+        return _grid(self.bin_count)
+
+    @property
     def centers(self) -> np.ndarray:
-        return (self.edges[:-1] + self.edges[1:]) / 2.0
+        edges = self.edges
+        return (edges[:-1] + edges[1:]) / 2.0
 
     @property
     def frequencies(self) -> np.ndarray:
         """Counts normalized to sum 1."""
         return self.counts / self.n
-
-    @classmethod
-    def from_counts(cls, counts: Sequence[int]) -> "Rdc":
-        """Build directly from per-bin counts on the uniform [0, 1] grid."""
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.ndim != 1 or len(counts) < 2:
-            raise PreconditionError("counts must be a vector of at least 2 bins")
-        if (counts < 0).any():
-            raise PreconditionError("counts must be non-negative")
-        n = int(counts.sum())
-        if n == 0:
-            raise PreconditionError("histogram must contain at least one sample")
-        edges = np.linspace(0.0, 1.0, len(counts) + 1)
-        return cls(edges, counts, n)
 
 
 def build_rdc(scores, bin_count: int = 100) -> Rdc:
@@ -77,14 +92,14 @@ def build_rdc(scores, bin_count: int = 100) -> Rdc:
         raise PreconditionError("bin_count must be >= 2")
     if not (scores.min() >= 0.0 and scores.max() <= 1.0):  # NaN fails both
         raise PreconditionError("scores must lie in [0, 1]")
-    edges = np.linspace(0.0, 1.0, bin_count + 1)
+    edges = _grid(bin_count)
     # np.histogram's arithmetic for equal bins over [0, 1], without its wrapper: scale to a bin,
     # then move a score within an ulp of an edge to the side of it that the edge itself puts it on
     idx = (scores * bin_count).astype(np.intp)
     idx[idx == bin_count] -= 1
     idx[scores < edges[idx]] -= 1
     idx[(scores >= edges[idx + 1]) & (idx != bin_count - 1)] += 1
-    return Rdc(edges, np.bincount(idx, minlength=bin_count), int(scores.size))
+    return Rdc(np.bincount(idx, minlength=bin_count))
 
 
 def log_view(rdc: Rdc) -> np.ndarray:
@@ -103,7 +118,6 @@ class SmoothedRdc(ArrayFieldsEq):
     """
 
     base: Rdc
-    window: int
     heights: np.ndarray  # renormalized moving average, sums to 1
     roughness: float
 
@@ -119,7 +133,7 @@ def smooth(rdc: Rdc, window: int = 5) -> SmoothedRdc:
         raise PreconditionError(f"window must be odd and within [1, {rdc.bin_count}], got {window}")
     freqs = rdc.frequencies
     if window == 1:
-        return SmoothedRdc(rdc, window, freqs, 0.0)
+        return SmoothedRdc(rdc, freqs, 0.0)
     half = window // 2
     k = rdc.bin_count
     # per-window means (not a cumsum sweep): windows holding the same values
@@ -134,7 +148,7 @@ def smooth(rdc: Rdc, window: int = 5) -> SmoothedRdc:
         averaged[i] = freqs[lo:hi].sum() / (hi - lo)
     heights = averaged / averaged.sum()
     roughness = float(np.abs(freqs - heights).sum())
-    return SmoothedRdc(rdc, window, heights, roughness)
+    return SmoothedRdc(rdc, heights, roughness)
 
 
 @dataclass(frozen=True)
@@ -417,6 +431,6 @@ def one_vs_rest(columns: ScoreColumns, bin_count: int = 100) -> dict[str, Rdc]:
 
 def rdc_distance(a: Rdc, b: Rdc) -> float:
     """Total variation distance between the two normalized histograms."""
-    if a.bin_count != b.bin_count or not np.array_equal(a.edges, b.edges):
-        raise PreconditionError("incompatible binning: charts must share bin edges")
+    if a.bin_count != b.bin_count:
+        raise PreconditionError(f"incompatible binning: charts of {a.bin_count} and {b.bin_count} bins")
     return float(0.5 * np.abs(a.frequencies - b.frequencies).sum())

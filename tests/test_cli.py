@@ -650,6 +650,31 @@ class TestWatchCommand:
         assert code == 1
 
     @pytest.mark.parametrize(
+        "rule, why",
+        [
+            ("model=:score=0.5", "has an empty model id"),
+            ("model= :entity=e1:score=0.5", "has an empty model id"),
+            ("model=m1:model=m2:score=0.5", "gives model= twice"),
+            ("entity=e1:score=0.5:score=0.9", "gives score= twice"),
+        ],
+        ids=["empty-model", "blank-model", "model-twice", "score-twice"],
+    )
+    def test_a_rule_no_line_can_match_or_with_a_key_twice_exits_one(self, tmp_path, capsys, rule, why):
+        stream = write_log(tmp_path / "s.jsonl", bimodal_scores(200, 5))
+        code, out, err = run(["watch", "--input", stream, "--once", "--override", rule], capsys)
+        assert (code, out, err) == (1, "", f"error: override {rule!r} {why}\n")
+
+    def test_an_empty_entity_rule_forces_the_lines_with_an_empty_entity_id(self, tmp_path, capsys):
+        scores = bimodal_scores(400, 6)
+        records = [ScoreRecord("m1", i, float(s), entity_id="" if i % 4 else "e1") for i, s in enumerate(scores)]
+        write_score_log(records, tmp_path / "s.jsonl")
+        report = tmp_path / "r.json"
+        argv = ["watch", "--input", str(tmp_path / "s.jsonl"), "--once", "--override", "entity=:score=0.5"]
+        code, _, err = run([*argv, "--output", str(report)], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(report.read_text(encoding="utf-8"))["results"]["overridden"] == 300
+
+    @pytest.mark.parametrize(
         "bad_line",
         [
             b'{"model_id":"m\xff","ts":0,"score":0.5}',
@@ -1050,12 +1075,26 @@ def test_chart_text_is_escaped_as_xml_sax_escapes_it(text):
     assert _text(text) == escape(text)
 
 
-def test_importing_the_cli_loads_no_network_or_xml_module():
+def _modules_loaded_by(module: str) -> list[str]:
+    """The modules a fresh interpreter holds after importing ``module`` alone."""
     src = Path(scorescope.__file__).parent.parent
-    code = f"import sys; sys.path.insert(0, {str(src)!r}); import scorescope.cli; print(*sys.modules)"
-    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout.split()
+    code = f"import sys; sys.path.insert(0, {str(src)!r}); import {module}; print(*sys.modules)"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout.split()
+
+
+def test_importing_the_cli_loads_no_network_or_xml_module():
+    loaded = _modules_loaded_by("scorescope.cli")
     heavy = ("xml", "urllib.request", "http.client", "ssl", "email")
     assert [m for m in loaded if m in heavy or m.startswith(tuple(h + "." for h in heavy))] == []
+
+
+def test_importing_the_ingest_module_loads_no_other_package_module():
+    loaded = _modules_loaded_by("scorescope.ingest")
+    assert sorted(m for m in loaded if m.partition(".")[0] == "scorescope") == [
+        "scorescope",
+        "scorescope.errors",
+        "scorescope.ingest",
+    ]
 
 
 def test_every_command_help_lists_defaults(capsys):

@@ -125,14 +125,14 @@ class TestCheckDrift:
         assert all(a.model_id == "m1" and a.window_index == 4 for a in alerts)
 
     def test_distance_exactly_at_threshold_is_quiet(self):
-        reference = Rdc.from_counts([100, 0])
-        current = Rdc.from_counts([75, 25])
+        reference = Rdc([100, 0])
+        current = Rdc([75, 25])
         config = MonitorConfig(tv_threshold=0.25)
         assert rdc_distance(current, reference) == 0.25
         healthy = _dummy_diag()  # two-bin charts are too coarse to diagnose
         kinds = [a.kind for a in check_drift(WindowResult("m1", 0, current, healthy), (reference, healthy), config)]
         assert AlertKind.DRIFT not in kinds
-        just_over = Rdc.from_counts([74, 26])
+        just_over = Rdc([74, 26])
         kinds = [a.kind for a in check_drift(WindowResult("m1", 0, just_over, healthy), (reference, healthy), config)]
         assert AlertKind.DRIFT in kinds
 
@@ -140,8 +140,8 @@ class TestCheckDrift:
         healthy = _dummy_diag()  # charts of two and three records are too small to diagnose
         with pytest.raises(PreconditionError, match="binning"):
             check_drift(
-                WindowResult("m1", 0, Rdc.from_counts([1, 1]), healthy),
-                (Rdc.from_counts([1, 1, 1]), healthy),
+                WindowResult("m1", 0, Rdc([1, 1]), healthy),
+                (Rdc([1, 1, 1]), healthy),
                 MonitorConfig(),
             )
 

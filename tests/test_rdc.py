@@ -65,6 +65,35 @@ class TestBuild:
         assert (np.diff(rdc.edges) > 0).all()
 
 
+class TestConstructor:
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ([5], "at least 2 bins"),
+            ([[1, 2], [3, 4]], "at least 2 bins"),
+            ([3, -1, 2], "non-negative"),
+            ([0, 0, 0], "at least one sample"),
+        ],
+        ids=["one-bin", "2-d", "negative-count", "all-zeros"],
+    )
+    def test_counts_that_are_no_histogram_are_refused(self, counts, message):
+        with pytest.raises(PreconditionError, match=message):
+            Rdc(counts)
+
+    def test_a_chart_is_its_counts(self):
+        rdc = Rdc([1, 0, 3])
+        assert rdc.counts.dtype == np.int64 and rdc.n == 4
+        assert rdc.edges.tolist() == [0.0, 1 / 3, 2 / 3, 1.0]
+        assert rdc == build_rdc([0.1, 0.7, 0.8, 1.0], 3)
+
+    def test_charts_of_one_bin_count_share_one_read_only_grid(self):
+        a, b = build_rdc([0.2], 10), Rdc([1] * 10)
+        assert a.edges is b.edges
+        assert build_rdc([0.2], 11).edges is not a.edges
+        with pytest.raises(ValueError, match="read-only"):
+            a.edges[3] = 0.5
+
+
 HISTOGRAM_BINS = st.sampled_from([2, 3, 7, 10, 100, 333, 10_000])
 
 
@@ -97,17 +126,17 @@ class TestBuildMatchesNumpyHistogram:
 
 class TestLogView:
     def test_definition(self):
-        lv = log_view(Rdc.from_counts([0, 9]))
+        lv = log_view(Rdc([0, 9]))
         assert lv[0] == 0.0
         assert lv[1] == pytest.approx(math.log(10.0))
 
     def test_equal_counts_equal_outputs(self):
-        lv = log_view(Rdc.from_counts([4, 4, 4]))
+        lv = log_view(Rdc([4, 4, 4]))
         assert len(set(lv.tolist())) == 1
 
     @given(counts_arrays)
     def test_preserves_argmax_and_order(self, counts):
-        rdc = Rdc.from_counts(counts)
+        rdc = Rdc(counts)
         lv = log_view(rdc)
         assert int(np.argmax(lv)) == int(np.argmax(rdc.counts))
         assert np.array_equal(np.argsort(lv, kind="stable"), np.argsort(rdc.counts, kind="stable"))
@@ -115,30 +144,30 @@ class TestLogView:
 
 class TestSmooth:
     def test_window_one_is_identity(self):
-        rdc = Rdc.from_counts([1, 5, 2, 2])
+        rdc = Rdc([1, 5, 2, 2])
         sm = smooth(rdc, window=1)
         assert np.array_equal(sm.heights, rdc.frequencies)
         assert sm.roughness == 0.0
 
     def test_edge_truncation_rule(self):
         # raw means of [0,1,0] with window 3: [1/2, 1/3, 1/2]; renormalized by 3/4
-        sm = smooth(Rdc.from_counts([0, 1, 0]), window=3)
+        sm = smooth(Rdc([0, 1, 0]), window=3)
         assert sm.heights == pytest.approx([0.375, 0.25, 0.375])
         assert sm.roughness == pytest.approx(0.375 + 0.75 + 0.375)
 
     def test_constant_histogram_has_zero_roughness(self):
         for window in (1, 3, 5):
-            sm = smooth(Rdc.from_counts([7] * 9), window=window)
+            sm = smooth(Rdc([7] * 9), window=window)
             assert sm.roughness == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("window", [0, 2, 4, 101])
     def test_invalid_window(self, window):
         with pytest.raises(PreconditionError):
-            smooth(Rdc.from_counts([1] * 100), window=window)
+            smooth(Rdc([1] * 100), window=window)
 
     @given(counts_arrays, windows)
     def test_mass_conservation(self, counts, window):
-        rdc = Rdc.from_counts(counts)
+        rdc = Rdc(counts)
         if window > rdc.bin_count:
             window = rdc.bin_count if rdc.bin_count % 2 == 1 else rdc.bin_count - 1
         sm = smooth(rdc, window=window)
@@ -156,7 +185,7 @@ class TestDetectModes:
         assert 0.7 <= right.location <= 1.0
 
     def test_strictly_increasing_single_mode_at_last_bin(self):
-        sm = smooth(Rdc.from_counts(list(range(1, 11))), window=1)
+        sm = smooth(Rdc(list(range(1, 11))), window=1)
         modes = detect_modes(sm)
         assert len(modes) == 1
         assert modes[0].bin_index == 9
@@ -164,11 +193,11 @@ class TestDetectModes:
     def test_spike_on_flat_background(self):
         counts = np.ones(100, dtype=int)
         counts[37] = 100
-        modes = detect_modes(smooth(Rdc.from_counts(counts), window=1))
+        modes = detect_modes(smooth(Rdc(counts), window=1))
         assert [m.bin_index for m in modes] == [37]
 
     def test_plateau_collapses_to_center(self):
-        modes = detect_modes(smooth(Rdc.from_counts([0, 5, 5, 5, 0]), window=1))
+        modes = detect_modes(smooth(Rdc([0, 5, 5, 5, 0]), window=1))
         assert [m.bin_index for m in modes] == [2]
 
     def test_modes_sorted_and_masses_partition(self):
@@ -200,7 +229,7 @@ class TestDiagnose:
 
     def test_noisy_from_uniform_count_draws(self):
         counts = np.random.default_rng(5).integers(0, 5, size=100)
-        diag = diagnose(Rdc.from_counts(counts))
+        diag = diagnose(Rdc(counts))
         assert diag.pattern is RdcPattern.NOISY
         assert diag.evidence["roughness"] > DEFAULT_DIAGNOSIS.roughness_max
 
@@ -303,24 +332,24 @@ class TestDiagnoseOrSkip:
 
 class TestDistance:
     def test_identity(self):
-        a = Rdc.from_counts([5, 5, 0])
-        b = Rdc.from_counts([10, 10, 0])  # same normalized shape
+        a = Rdc([5, 5, 0])
+        b = Rdc([10, 10, 0])  # same normalized shape
         assert rdc_distance(a, b) == 0.0
 
     def test_disjoint_supports(self):
-        a = Rdc.from_counts([10, 0])
-        b = Rdc.from_counts([0, 10])
+        a = Rdc([10, 0])
+        b = Rdc([0, 10])
         assert rdc_distance(a, b) == 1.0
 
     def test_incompatible_binning(self):
         with pytest.raises(PreconditionError, match="binning"):
-            rdc_distance(Rdc.from_counts([1, 1]), Rdc.from_counts([1, 1, 1]))
+            rdc_distance(Rdc([1, 1]), Rdc([1, 1, 1]))
 
     @given(st.tuples(counts_arrays, counts_arrays, counts_arrays))
     @settings(max_examples=60)
     def test_metric_axioms(self, triple):
         size = min(len(c) for c in triple)
-        a, b, c = (Rdc.from_counts(np.asarray(counts[:size]) + 1) for counts in triple)
+        a, b, c = (Rdc(np.asarray(counts[:size]) + 1) for counts in triple)
         dab, dba = rdc_distance(a, b), rdc_distance(b, a)
         assert dab == dba
         assert 0.0 <= dab <= 1.0
@@ -365,25 +394,24 @@ class TestArrayFieldsCompareByValue:
         assert smooth(build_rdc(np.full(10, 0.5)), 3) == smooth(build_rdc(np.full(10, 0.5)), 3)
 
     def test_one_differing_array_compares_unequal(self):
-        a = Rdc.from_counts([1, 2, 3, 4])
-        assert a != Rdc(a.edges, np.array([1, 2, 4, 3]), a.n)
-        assert a != Rdc(np.array([0.0, 0.3, 0.5, 0.75, 1.0]), a.counts, a.n)
+        a = Rdc([1, 2, 3, 4])
+        assert a != Rdc(np.array([1, 2, 4, 3]))
         sm = smooth(a, 3)
-        assert sm != SmoothedRdc(a, 3, sm.heights[::-1], sm.roughness)
-        assert sm != smooth(Rdc.from_counts([1, 2, 4, 3]), 3)
+        assert sm != SmoothedRdc(a, sm.heights[::-1], sm.roughness)
+        assert sm != smooth(Rdc([1, 2, 4, 3]), 3)
 
 
 def _reference_smooth(rdc: Rdc, window: int) -> SmoothedRdc:
     """``smooth`` as one slice mean per bin, the definition the vectorised form must match bit for bit."""
     freqs = rdc.frequencies
     if window == 1:
-        return SmoothedRdc(rdc, window, freqs, 0.0)
+        return SmoothedRdc(rdc, freqs, 0.0)
     half, k = window // 2, rdc.bin_count
     averaged = np.empty(k)
     for i in range(k):
         averaged[i] = freqs[max(i - half, 0) : min(i + half + 1, k)].mean()
     heights = averaged / averaged.sum()
-    return SmoothedRdc(rdc, window, heights, float(np.abs(freqs - heights).sum()))
+    return SmoothedRdc(rdc, heights, float(np.abs(freqs - heights).sum()))
 
 
 def _reference_plateau_maxima(h: np.ndarray) -> list[int]:
@@ -466,7 +494,7 @@ class TestVectorisedAgainstReference:
     @given(run_counts(), st.data())
     @settings(max_examples=500, deadline=None)
     def test_smooth_matches_slice_means_bit_for_bit(self, counts, data):
-        rdc = Rdc.from_counts(counts)
+        rdc = Rdc(counts)
         window = data.draw(odd_windows(rdc.bin_count))
         got, want = smooth(rdc, window), _reference_smooth(rdc, window)
         assert np.array_equal(got.heights, want.heights)
@@ -475,7 +503,7 @@ class TestVectorisedAgainstReference:
     @given(run_counts() | spike_over_floor(), st.data(), st.sampled_from([0.0, 0.05, 0.10, 0.3, 0.5, 1.0]))
     @settings(max_examples=300, deadline=None)
     def test_modes_and_diagnosis_match_the_element_walk(self, counts, data, prominence_min):
-        rdc = Rdc.from_counts(counts)
+        rdc = Rdc(counts)
         window = data.draw(odd_windows(rdc.bin_count))
         smoothed = smooth(rdc, window)
         assert repr(detect_modes(smoothed, prominence_min)) == repr(_reference_detect_modes(smoothed, prominence_min))

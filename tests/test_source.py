@@ -1,21 +1,22 @@
 """Dead-code check over the package source, with the standard library's ``ast`` only.
 
-In every module but ``__init__.py``, each imported name must be used in that
-module, and each module-level private function, class or assignment must be
-used somewhere in the package. A line marked ``# noqa: F401`` is exempt (a
-deliberate re-export). Each module-level public function or class must be
-read by a package module (a re-export in ``__init__.py`` does not count), by
-the benchmark or by the acceptance criteria. For this check a module reads a
-name when it loads it as a variable or takes it as an attribute of an
-imported module; importing it without using it does not count. The check
-goes by name only, so a public name is still taken as read when a local
-variable of the same name is loaded anywhere in those files. No module
-imports a private name from another package module: a private name is its
-module's own business. The config sections that ``cli._apply_section``
-accepts must be the sections its callers apply, so that no section is
-accepted and then used by no command. Last, the score-log layout pattern
-must compile on the oldest Python that ``pyproject.toml`` allows: its
-possessive quantifiers need Python 3.11.
+In every module, each imported name must be used in that module, and each
+module-level private function, class or assignment must be used somewhere in
+the package. A line marked ``# noqa: F401`` is exempt (a deliberate
+re-export). Each module-level public function or class must be read by a
+package module other than ``__init__.py``, by the benchmark or by the
+acceptance criteria. For this check a module reads a name when it loads it
+as a variable or takes it as an attribute of an imported module; importing
+it without using it does not count. The check goes by name only, so a public
+name is still taken as read when a local variable of the same name is loaded
+anywhere in those files. No module imports a private name from another
+package module: a private name is its module's own business. The config
+sections that ``cli._apply_section`` accepts must be the sections its
+callers apply, so that no section is accepted and then used by no command.
+The score-log layout pattern must compile on the oldest Python that
+``pyproject.toml`` allows: its possessive quantifiers need Python 3.11.
+Last, ``__init__.py`` binds ``__version__`` and nothing else, so every
+public name has one home, its module.
 """
 
 import ast
@@ -75,8 +76,6 @@ def dead_code(src: Path = SRC) -> list[str]:
     used_anywhere = set().union(*(_used_names(tree) for tree in trees.values()))
     problems = []
     for path, tree in trees.items():
-        if path.name == "__init__.py":
-            continue
         lines = modules[path].splitlines()
         loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
         for lineno, name in _imports(tree):
@@ -161,6 +160,20 @@ def pattern_needs(pattern: str) -> tuple[int, int]:
     return (3, 11) if "(?>" in pattern or re.search(r"[*+?}]\+", pattern) else (3, 0)
 
 
+def package_bindings(init: Path = SRC / "__init__.py") -> list[str]:
+    """One line per module-level name that ``init`` binds besides ``__version__``, imports included."""
+    problems = []
+    for node in ast.parse(init.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        else:
+            names = [n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+        problems += [f"{init.name}:{node.lineno}: binds {name}" for name in names if name != "__version__"]
+    return problems
+
+
 def test_no_unused_import_or_private_name():
     assert dead_code() == []
 
@@ -172,6 +185,26 @@ def test_the_check_finds_an_unused_import_and_a_dead_helper(tmp_path):
         encoding="utf-8",
     )
     assert dead_code(tmp_path) == ["mod.py:1: import json is unused", "mod.py:6: _dead is never used"]
+
+
+def test_the_package_binds_only_its_version():
+    assert package_bindings() == []
+
+
+def test_the_check_finds_each_name_the_package_binds(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        '"""Doc."""\n\n__version__ = "1.0"\n\nfrom .mod import run, Model as M\nimport json\n'
+        "TABLE = {}\n\n\ndef helper():\n    pass\n\n\nif json:\n    flag = 1\n",
+        encoding="utf-8",
+    )
+    assert package_bindings(tmp_path / "__init__.py") == [
+        "__init__.py:5: binds run",
+        "__init__.py:5: binds M",
+        "__init__.py:6: binds json",
+        "__init__.py:7: binds TABLE",
+        "__init__.py:10: binds helper",
+        "__init__.py:14: binds flag",
+    ]
 
 
 def test_every_public_name_is_read():
